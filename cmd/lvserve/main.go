@@ -103,6 +103,12 @@ func main() {
 		DrainGrace:      *drainGrace,
 	})
 
+	// Install the SIGTERM/SIGINT handler before binding: once the
+	// address is published (and /healthz answers), a signal must drain
+	// the server, not kill it with the default action.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
@@ -118,8 +124,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
 		log.Fatal(err)

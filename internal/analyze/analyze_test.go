@@ -170,6 +170,51 @@ func TestLoaderRejectsOutsideImports(t *testing.T) {
 	}
 }
 
+// TestLoaderSkipsNestedModules pins that a directory with its own
+// go.mod is a separate module: neither the loader nor the lint cache's
+// input set descends into it, matching `go build ./...`. The nested
+// package imports a path outside the tree, so loading it would fail.
+func TestLoaderSkipsNestedModules(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":           "module test\n",
+		"a.go":             "package a\n",
+		"sub/b.go":         "package sub\n",
+		"nested/go.mod":    "module nested\n",
+		"nested/n.go":      "package nested\n\nimport _ \"nested/missing\"\n",
+		"nested/deep/d.go": "package deep\n",
+		"sub/inner/go.mod": "module inner\n",
+		"sub/inner/i.go":   "package inner\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := NewLoader("test").LoadTree(dir)
+	if err != nil {
+		t.Fatalf("LoadTree: %v", err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Path)
+	}
+	if want := []string{"test", "test/sub"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("loaded %v, want %v", got, want)
+	}
+	inputs, err := cacheInputs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a.go", "go.mod", "sub/b.go"}; fmt.Sprint(inputs) != fmt.Sprint(want) {
+		t.Errorf("cache inputs %v, want %v", inputs, want)
+	}
+}
+
 // TestSuppressSameLineAndAbove pins both comment placements.
 func TestSuppressSameLineAndAbove(t *testing.T) {
 	mk := func(file string, line int, check string) Diagnostic {

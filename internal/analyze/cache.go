@@ -103,8 +103,8 @@ func (c *Cache) Key(root string, analyzers []string, analyzerVersion string) (st
 }
 
 // cacheInputs lists the files that determine analysis results: every
-// .go file the loader would parse (non-test, outside testdata/hidden
-// dirs) plus go.mod, as sorted relative paths.
+// .go file the loader would parse (non-test, outside the directories
+// skipTreeDir skips) plus go.mod, as sorted relative paths.
 func cacheInputs(root string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -113,7 +113,7 @@ func cacheInputs(root string) ([]string, error) {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			if skipTreeDir(root, path, name) {
 				return filepath.SkipDir
 			}
 			return nil

@@ -206,8 +206,23 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// goDirs returns every directory under root that contains at least one
-// non-test Go file, in sorted order.
+// skipTreeDir reports whether a walk of the module rooted at root
+// skips the directory at path: hidden, underscore-prefixed and testdata
+// directories, and nested modules (a directory with its own go.mod),
+// which `go build ./...` and `go vet ./...` leave out as well.
+func skipTreeDir(root, path, name string) bool {
+	if path == root {
+		return false
+	}
+	if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+		return true
+	}
+	_, err := os.Stat(filepath.Join(path, "go.mod"))
+	return err == nil
+}
+
+// goDirs returns every directory of the module rooted at root that
+// contains at least one non-test Go file, in sorted order.
 func goDirs(root string) ([]string, error) {
 	seen := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -216,7 +231,7 @@ func goDirs(root string) ([]string, error) {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			if skipTreeDir(root, path, name) {
 				return filepath.SkipDir
 			}
 			return nil

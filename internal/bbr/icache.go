@@ -18,9 +18,11 @@ import (
 // than the data path, so BBR adds zero cycles to the hit latency
 // (Table III).
 type ICache struct {
-	c    *cache.Cache
-	next *core.NextLevel
-	fm   *faultmap.Map
+	c      *cache.Cache
+	geo    cache.Geometry // c's address arithmetic, hoisted out of Fetch
+	hitLat int
+	next   *core.NextLevel
+	fm     *faultmap.Map
 
 	inj    *inject.Injector // runtime fault layer (nil = static faults only)
 	ticks  uint64           // access clock driving the injector
@@ -45,7 +47,7 @@ func NewICache(fm *faultmap.Map, next *core.NextLevel) (*ICache, error) {
 	}
 	c := cache.MustNew(cfg)
 	c.SetMode(cache.DirectMapped)
-	return &ICache{c: c, next: next, fm: fm}, nil
+	return &ICache{c: c, geo: cfg.Geometry(), hitLat: cfg.HitLatency, next: next, fm: fm}, nil
 }
 
 // Name implements core.InstrCache.
@@ -53,7 +55,7 @@ func (ic *ICache) Name() string { return "BBR" }
 
 // HitLatency implements core.InstrCache: zero overhead over the 2-cycle
 // baseline.
-func (ic *ICache) HitLatency() int { return ic.c.Config().HitLatency }
+func (ic *ICache) HitLatency() int { return ic.hitLat }
 
 // Stats exposes the underlying cache counters.
 func (ic *ICache) Stats() cache.Stats { return ic.c.Stats() }
@@ -91,9 +93,7 @@ func (ic *ICache) DisabledFrames() int { return ic.c.DisabledFrames() }
 // next level for the rest of the run (capacity degradation).
 func (ic *ICache) Fetch(addr uint64) core.AccessOutcome {
 	// Invariant: the fetched word's physical location must be fault-free.
-	cfg := ic.c.Config()
-	imagePos := int(cache.WordAddr(addr) % uint64(cfg.Words()))
-	if ic.fm.Defective(cfg.DMImageWordIndex(imagePos)) {
+	if ic.fm.Defective(ic.geo.DMImageWordIndex(ic.geo.ImageWord(addr))) {
 		ic.DefectiveFetches++
 	}
 	if ic.inj != nil {
@@ -105,8 +105,8 @@ func (ic *ICache) Fetch(addr uint64) core.AccessOutcome {
 		return core.MissOutcome(ic.HitLatency(), ic.next, addr)
 	}
 	if ic.inj != nil {
-		set, way := cfg.Index(addr), cfg.DMWay(addr)
-		phys := cfg.FrameWordIndex(set, way, cache.WordInBlock(addr))
+		set, way := ic.geo.Index(addr), ic.geo.DMWay(addr)
+		phys := ic.geo.FrameWordIndex(set, way, cache.WordInBlock(addr))
 		switch {
 		case ic.inj.PermanentWord(phys):
 			ic.fstats.Detected++

@@ -57,8 +57,9 @@ func Link(p *program.Program, fm *faultmap.Map, baseAddr uint64) (*Placement, er
 	// around the cache boundary (capped at csize). runs[i] == 0 iff image
 	// position i is defective. The image is a permutation of the physical
 	// word array (see cache.Config.DMImageWordIndex).
+	geo := cfg.Geometry()
 	runs := runLengthsWithWrap(csize, func(i int) bool {
-		return fm.Defective(cfg.DMImageWordIndex(i))
+		return fm.Defective(geo.DMImageWordIndex(i))
 	})
 	maxRun := 0
 	for _, r := range runs {
@@ -137,13 +138,12 @@ func runLengthsWithWrap(n int, defective func(int) bool) []int {
 // under the placement, in address order — used by tests and invariant
 // checks to assert no defective word is ever occupied by code.
 func (pl *Placement) PlacedWords(p *program.Program, b program.BlockID) []int {
-	cfg := cache.L1Config("L1I")
-	csize := cfg.Words()
+	geo := cache.L1Config("L1I").Geometry()
 	fp := p.Blocks[b].Footprint()
 	out := make([]int, fp)
-	start := pl.addrs[b] / 4
+	start := pl.addrs[b]
 	for k := 0; k < fp; k++ {
-		out[k] = cfg.DMImageWordIndex(int((start + uint64(k)) % uint64(csize)))
+		out[k] = geo.DMImageWordIndex(geo.ImageWord(start + uint64(4*k)))
 	}
 	return out
 }
@@ -171,7 +171,8 @@ func LinkBestFit(p *program.Program, fm *faultmap.Map, baseAddr uint64) (*Placem
 	type free struct{ start, length int }
 	var chunks []free
 	start := -1
-	defective := func(i int) bool { return fm.Defective(cfg.DMImageWordIndex(i)) }
+	geo := cfg.Geometry()
+	defective := func(i int) bool { return fm.Defective(geo.DMImageWordIndex(i)) }
 	for i := 0; i <= csize; i++ {
 		if i < csize && !defective(i) {
 			if start < 0 {

@@ -170,34 +170,26 @@ func WordInBlock(addr uint64) int { return int(addr>>wordShift) & wordInBlockMsk
 func WordAddr(addr uint64) uint64 { return addr >> wordShift }
 
 // Index returns the set index of addr.
-func (c Config) Index(addr uint64) int {
-	return int(BlockAddr(addr) % uint64(c.Sets()))
-}
+func (c Config) Index(addr uint64) int { return c.Geometry().Index(addr) }
 
 // Tag returns the tag of addr.
-func (c Config) Tag(addr uint64) uint64 {
-	return BlockAddr(addr) / uint64(c.Sets())
-}
+func (c Config) Tag(addr uint64) uint64 { return c.Geometry().Tag(addr) }
 
 // DMWay returns the way that the least-significant tag bits select in
 // direct-mapped mode.
-func (c Config) DMWay(addr uint64) int {
-	return int(c.Tag(addr) % uint64(c.Ways))
-}
+func (c Config) DMWay(addr uint64) int { return c.Geometry().DMWay(addr) }
 
 // DMSlot returns the unique direct-mapped frame number (0..Blocks()-1)
 // that addr maps to in direct-mapped mode. Software (the BBR linker)
 // controls placement through this mapping: slot = block address mod
 // number of frames.
-func (c Config) DMSlot(addr uint64) int {
-	return int(BlockAddr(addr) % uint64(c.Blocks()))
-}
+func (c Config) DMSlot(addr uint64) int { return c.Geometry().DMSlot(addr) }
 
 // FrameWordIndex returns the index into the cache's physical word array
 // (and fault map) of word `word` of the frame at (set, way). Frames are
 // laid out set-major: frame = set*Ways + way.
 func (c Config) FrameWordIndex(set, way, word int) int {
-	return (set*c.Ways+way)*WordsPerBlock + word
+	return c.Geometry().FrameWordIndex(set, way, word)
 }
 
 // DMImageWordIndex maps a position in the direct-mapped linear image of
@@ -207,11 +199,92 @@ func (c Config) FrameWordIndex(set, way, word int) int {
 // (set = slot mod Sets(), way = slot / Sets()); the BBR linker scans the
 // image linearly, so it needs this permutation to consult the physical
 // fault map.
-func (c Config) DMImageWordIndex(i int) int {
-	slot := i / WordsPerBlock
-	word := i % WordsPerBlock
-	set, way := slot%c.Sets(), slot/c.Sets()
-	return c.FrameWordIndex(set, way, word)
+func (c Config) DMImageWordIndex(i int) int { return c.Geometry().DMImageWordIndex(i) }
+
+// Geometry is a cache organization's address arithmetic reduced to
+// shifts and masks, computed once per cache instead of dividing by the
+// set and way counts on every access (the per-instruction path indexes
+// two L1s and often the L2). Validate guarantees a power-of-two set
+// count; a way count that is not a power of two (e.g. 12 ways) keeps a
+// modulo in the direct-mapped helpers. The Config methods of the same
+// names delegate here, so the arithmetic lives in one place.
+type Geometry struct {
+	ways      int
+	setShift  uint   // log2(Sets())
+	setMask   uint64 // Sets()-1
+	wayMask   uint64 // Ways-1 when Ways is a power of two
+	frameMask uint64 // Blocks()-1 when Ways is a power of two
+	blocks    uint64
+	wordMask  uint64 // Words()-1 when Ways is a power of two
+	words     uint64
+	waysPow2  bool
+}
+
+// Geometry precomputes the configuration's address arithmetic. It does
+// not validate: results for a Config that fails Validate are
+// unspecified (every cache constructor validates first).
+func (c Config) Geometry() Geometry {
+	sets := uint64(c.Sets())
+	g := Geometry{
+		ways:     c.Ways,
+		setShift: uint(bits.TrailingZeros64(sets)),
+		setMask:  sets - 1,
+		blocks:   uint64(c.Blocks()),
+		words:    uint64(c.Words()),
+		waysPow2: c.Ways > 0 && bits.OnesCount(uint(c.Ways)) == 1,
+	}
+	if g.waysPow2 {
+		g.wayMask = uint64(c.Ways) - 1
+		g.frameMask = g.blocks - 1
+		g.wordMask = g.words - 1
+	}
+	return g
+}
+
+// Index returns the set index of addr.
+func (g Geometry) Index(addr uint64) int { return int(BlockAddr(addr) & g.setMask) }
+
+// Tag returns the tag of addr.
+func (g Geometry) Tag(addr uint64) uint64 { return BlockAddr(addr) >> g.setShift }
+
+// DMWay returns the way that the least-significant tag bits select in
+// direct-mapped mode.
+func (g Geometry) DMWay(addr uint64) int {
+	if g.waysPow2 {
+		return int(g.Tag(addr) & g.wayMask)
+	}
+	return int(g.Tag(addr) % uint64(g.ways))
+}
+
+// DMSlot returns the direct-mapped frame number of addr: block address
+// mod Blocks().
+func (g Geometry) DMSlot(addr uint64) int {
+	if g.waysPow2 {
+		return int(BlockAddr(addr) & g.frameMask)
+	}
+	return int(BlockAddr(addr) % g.blocks)
+}
+
+// ImageWord returns the position of addr's word in the direct-mapped
+// linear image: word address mod Words().
+func (g Geometry) ImageWord(addr uint64) int {
+	if g.waysPow2 {
+		return int(WordAddr(addr) & g.wordMask)
+	}
+	return int(WordAddr(addr) % g.words)
+}
+
+// FrameWordIndex is Config.FrameWordIndex.
+func (g Geometry) FrameWordIndex(set, way, word int) int {
+	return (set*g.ways+way)*WordsPerBlock + word
+}
+
+// DMImageWordIndex is Config.DMImageWordIndex; i must lie in
+// [0, Words()).
+func (g Geometry) DMImageWordIndex(i int) int {
+	slot := uint64(i) >> (blockShift - wordShift)
+	word := i & wordInBlockMsk
+	return g.FrameWordIndex(int(slot&g.setMask), int(slot>>g.setShift), word)
 }
 
 // Stats counts cache events.
@@ -256,6 +329,7 @@ type line struct {
 // Cache is a tag-array simulator for one cache level.
 type Cache struct {
 	cfg   Config
+	geo   Geometry
 	mode  Mode
 	sets  [][]line
 	plru  []uint32 // per-set tree bits (ReplacePLRU)
@@ -274,7 +348,7 @@ func New(cfg Config) (*Cache, error) {
 	for i := range sets {
 		sets[i], lines = lines[:cfg.Ways], lines[cfg.Ways:]
 	}
-	c := &Cache{cfg: cfg, sets: sets}
+	c := &Cache{cfg: cfg, geo: cfg.Geometry(), sets: sets}
 	switch cfg.Replacement {
 	case ReplacePLRU:
 		c.plru = make([]uint32, cfg.Sets())
@@ -381,10 +455,9 @@ func (c *Cache) DisabledFrames() int {
 
 // lookup returns the set and hit way (or -1).
 func (c *Cache) lookup(addr uint64) (set int, way int) {
-	set = c.cfg.Index(addr)
-	tag := c.cfg.Tag(addr)
+	set, tag := c.geo.Index(addr), c.geo.Tag(addr)
 	if c.mode == DirectMapped {
-		w := c.cfg.DMWay(addr)
+		w := c.geo.DMWay(addr)
 		if l := &c.sets[set][w]; l.valid && l.tag == tag {
 			return set, w
 		}
@@ -411,7 +484,7 @@ func (c *Cache) Probe(addr uint64) bool {
 // fill.
 func (c *Cache) victim(addr uint64, set int) int {
 	if c.mode == DirectMapped {
-		if w := c.cfg.DMWay(addr); !c.sets[set][w].disabled {
+		if w := c.geo.DMWay(addr); !c.sets[set][w].disabled {
 			return w
 		}
 		return -1
@@ -541,7 +614,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 			c.stats.WriteBacks++
 		}
 	}
-	*l = line{tag: c.cfg.Tag(addr), valid: true, lru: c.tick}
+	*l = line{tag: c.geo.Tag(addr), valid: true, lru: c.tick}
 	if c.plru != nil {
 		c.plruTouch(set, w)
 	}

@@ -42,7 +42,9 @@ type DataCache interface {
 	// Name identifies the scheme (for reports).
 	Name() string
 	// HitLatency is the cycle cost of a hit, including any scheme
-	// overhead on the critical path (Table III's latency column).
+	// overhead on the critical path (Table III's latency column). It is
+	// fixed for the cache's lifetime: the timing model (cpu.RunClocked)
+	// reads it once per run.
 	HitLatency() int
 	// Read performs a load of the word at addr.
 	Read(addr uint64) AccessOutcome
@@ -54,6 +56,8 @@ type DataCache interface {
 // scheme.
 type InstrCache interface {
 	Name() string
+	// HitLatency is the cycle cost of a fetch hit, fixed for the cache's
+	// lifetime like DataCache.HitLatency.
 	HitLatency() int
 	// Fetch performs an instruction fetch of the word at addr.
 	Fetch(addr uint64) AccessOutcome

@@ -154,6 +154,13 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 	var r Result
 	issue := 1 / float64(cfg.Width)
 	l2Before, memBefore := next.DemandReads(), next.MemReads()
+	// Hit latencies are fixed for a cache's lifetime (core.InstrCache,
+	// core.DataCache), so the per-instruction terms derived from them
+	// are computed once per run.
+	icLat, dcLat := ic.HitLatency(), dc.HitLatency()
+	icExtra := float64(max(icLat-designHitLatency, 0))
+	dcExposed := float64(max(dcLat-designHitLatency, 0)) * cfg.LoadExposure
+	var in workload.Instr
 
 	// Transform overhead is bounded (≤1 jump per block visit), so the
 	// executed total is capped defensively at 2n plus slack.
@@ -166,7 +173,7 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 		if clk != nil {
 			clk.Advance(r.Cycles())
 		}
-		in := s.Next()
+		s.NextInto(&in)
 		r.Executed++
 		if !in.Overhead {
 			r.Instructions++
@@ -177,8 +184,8 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 		fo := ic.Fetch(in.PC)
 		if !fo.Hit {
 			r.FetchMisses++
-			r.MemCycles += float64(fo.Latency - ic.HitLatency())
-		} else if extra := fo.Latency - ic.HitLatency(); extra > 0 {
+			r.MemCycles += float64(fo.Latency - icLat)
+		} else if extra := fo.Latency - icLat; extra > 0 {
 			// A hit slower than the hit latency is a detected-fault
 			// retry/recovery stall injected by the fault layer.
 			r.RecoveryCycles += float64(extra)
@@ -190,12 +197,12 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 			do := dc.Read(in.MemAddr)
 			if !do.Hit {
 				r.LoadMisses++
-				r.MemCycles += float64(do.Latency - dc.HitLatency())
-			} else if extra := do.Latency - dc.HitLatency(); extra > 0 {
+				r.MemCycles += float64(do.Latency - dcLat)
+			} else if extra := do.Latency - dcLat; extra > 0 {
 				r.RecoveryCycles += float64(extra)
 			}
-			if extra := dc.HitLatency() - designHitLatency; extra > 0 {
-				r.L1Cycles += float64(extra) * cfg.LoadExposure
+			if dcExposed > 0 {
+				r.L1Cycles += dcExposed
 			}
 		case program.KindStore:
 			r.Stores++
@@ -206,15 +213,15 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 				r.TakenBranches++
 				// Predicted redirects hide the design-point fetch
 				// latency; extra L1I latency bubbles the front end.
-				if extra := ic.HitLatency() - designHitLatency; extra > 0 {
-					r.L1Cycles += float64(extra)
+				if icExtra > 0 {
+					r.L1Cycles += icExtra
 				}
 			}
 			if in.Mispredicted {
 				r.Mispredicts++
 				r.BaseCycles += float64(cfg.MispredictPenalty)
 				// The recovery refill goes through the L1I.
-				r.L1Cycles += float64(ic.HitLatency())
+				r.L1Cycles += float64(icLat)
 			}
 		case program.KindALU:
 			// Register-to-register work is covered by the base CPI.
@@ -223,7 +230,7 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 		if in.DependsOnLoad {
 			// Back-to-back consumer: expose hit latency minus the
 			// forwarded cycle.
-			r.L1Cycles += float64(dc.HitLatency() - 1)
+			r.L1Cycles += float64(dcLat - 1)
 		}
 	}
 	r.L2Reads = next.DemandReads() - l2Before

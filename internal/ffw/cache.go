@@ -56,6 +56,7 @@ type line struct {
 // implements core.DataCache.
 type Cache struct {
 	cfg  cache.Config
+	geo  cache.Geometry
 	next *core.NextLevel
 	opts Options
 	fm   *faultmap.Map    // manufacturing fault map (read-only)
@@ -92,7 +93,7 @@ func New(fm *faultmap.Map, next *core.NextLevel, opts Options) (*Cache, error) {
 	if next == nil {
 		return nil, fmt.Errorf("ffw: nil next level")
 	}
-	c := &Cache{cfg: cfg, next: next, opts: opts, fm: fm, inj: opts.Injector}
+	c := &Cache{cfg: cfg, geo: cfg.Geometry(), next: next, opts: opts, fm: fm, inj: opts.Injector}
 	c.sets = make([][]line, cfg.Sets())
 	lines := make([]line, cfg.Blocks())
 	for s := range c.sets {
@@ -162,8 +163,7 @@ func (c *Cache) FaultPattern(set, way int) uint8 { return c.sets[set][way].fault
 
 // lookup returns the hitting way or -1.
 func (c *Cache) lookup(addr uint64) (set, way int) {
-	set = c.cfg.Index(addr)
-	tag := c.cfg.Tag(addr)
+	set, tag := c.geo.Index(addr), c.geo.Tag(addr)
 	for w := range c.sets[set] {
 		if l := &c.sets[set][w]; l.valid && l.tag == tag {
 			return set, w
@@ -208,7 +208,7 @@ func (c *Cache) refill(set, way int, addr uint64, sameBlock bool) {
 		l.lru = c.tick
 		c.stats.Refills++
 	} else {
-		l.tag = c.cfg.Tag(addr)
+		l.tag = c.geo.Tag(addr)
 		l.valid = true
 		l.lru = c.tick
 		l.stored = Window(k, word, c.opts.Placement)
@@ -223,7 +223,7 @@ func (c *Cache) refill(set, way int, addr uint64, sameBlock bool) {
 				continue
 			}
 			e := Remap(l.stored, l.fault, w)
-			c.data[c.cfg.FrameWordIndex(set, way, e)] = c.backingValue(base + uint64(w))
+			c.data[c.geo.FrameWordIndex(set, way, e)] = c.backingValue(base + uint64(w))
 		}
 	}
 }
@@ -270,7 +270,7 @@ func (c *Cache) Read(addr uint64) core.AccessOutcome {
 		if l.stored&(1<<uint(word)) != 0 {
 			if c.inj != nil {
 				e := Remap(l.stored, l.fault, word)
-				phys := c.cfg.FrameWordIndex(set, way, e)
+				phys := c.geo.FrameWordIndex(set, way, e)
 				if sticky := c.inj.FaultyWord(phys); sticky || c.inj.TransientNow() {
 					return c.recoverHit(set, way, addr, sticky)
 				}
@@ -371,7 +371,7 @@ func (c *Cache) ReadWord(addr uint64) (core.AccessOutcome, uint32) {
 		l := &c.sets[set][way]
 		if l.stored&(1<<uint(word)) != 0 {
 			e := Remap(l.stored, l.fault, word)
-			fromArray = &c.data[c.cfg.FrameWordIndex(set, way, e)]
+			fromArray = &c.data[c.geo.FrameWordIndex(set, way, e)]
 		}
 	}
 	out := c.Read(addr)
@@ -425,7 +425,7 @@ func (c *Cache) WriteWord(addr uint64, v uint32) core.AccessOutcome {
 		l := &c.sets[set][way]
 		if l.stored&(1<<uint(word)) != 0 {
 			e := Remap(l.stored, l.fault, word)
-			c.data[c.cfg.FrameWordIndex(set, way, e)] = v
+			c.data[c.geo.FrameWordIndex(set, way, e)] = v
 		}
 	}
 	return c.Write(addr)

@@ -22,6 +22,7 @@ import (
 // disable (an L2 trip per access) on residual defective slots.
 type Wilkerson struct {
 	cfg  cache.Config
+	geo  cache.Geometry
 	next *core.NextLevel
 	sets [][]wline // Sets() x (Ways/2) logical lines
 	tick uint64
@@ -45,7 +46,7 @@ func NewWilkersonPlus(fm *faultmap.Map, next *core.NextLevel) (*Wilkerson, error
 	if next == nil {
 		return nil, errNilNext
 	}
-	w := &Wilkerson{cfg: cfg, next: next}
+	w := &Wilkerson{cfg: cfg, geo: cfg.Geometry(), next: next}
 	logical := cfg.Ways / 2
 	w.sets = make([][]wline, cfg.Sets())
 	lines := make([]wline, cfg.Sets()*logical)
@@ -96,8 +97,7 @@ func (w *Wilkerson) Stats() WdisStats { return w.stats }
 
 func (w *Wilkerson) lookup(addr uint64, allocate bool) lookupResult {
 	w.tick++
-	set := w.cfg.Index(addr)
-	tag := w.cfg.Tag(addr)
+	set, tag := w.geo.Index(addr), w.geo.Tag(addr)
 	word := cache.WordInBlock(addr)
 	for l := range w.sets[set] {
 		ln := &w.sets[set][l]

@@ -42,8 +42,11 @@ type Stream struct {
 	data   *DataGen
 	rng    *rand.Rand
 
-	// Current block being drained.
-	blk      program.BlockID
+	// Current block being drained, with its layout address cached so
+	// the per-instruction path does not call through the Layout
+	// interface.
+	b        *program.BasicBlock
+	base     uint64
 	blkTaken bool
 	pos      int // next instruction word within the block
 	n        int // executed words of the current block
@@ -70,19 +73,30 @@ func NewStream(prof Profile, prog *program.Program, layout program.Layout, seed 
 }
 
 func (s *Stream) advanceBlock() {
-	s.blk, s.blkTaken = s.walker.Next()
+	var id program.BlockID
+	id, s.blkTaken = s.walker.Next()
+	s.b = &s.prog.Blocks[id]
+	s.base = s.layout.BlockAddr(id)
 	s.pos = 0
-	s.n = program.ExecutedWords(&s.prog.Blocks[s.blk], s.blkTaken)
+	s.n = program.ExecutedWords(s.b, s.blkTaken)
 }
 
 // Next returns the next dynamic instruction.
 func (s *Stream) Next() Instr {
+	var in Instr
+	s.NextInto(&in)
+	return in
+}
+
+// NextInto overwrites *in with the next dynamic instruction — Next
+// without the per-call copy of the result, for the timing model's loop.
+func (s *Stream) NextInto(in *Instr) {
 	for s.pos >= s.n {
 		s.advanceBlock()
 	}
-	b := &s.prog.Blocks[s.blk]
-	in := Instr{
-		PC:       s.layout.BlockAddr(s.blk) + uint64(4*s.pos),
+	b := s.b
+	*in = Instr{
+		PC:       s.base + uint64(4*s.pos),
 		Kind:     b.Kinds[s.pos],
 		Overhead: b.TransformAdded && s.pos == b.Size-1,
 	}
@@ -116,7 +130,6 @@ func (s *Stream) Next() Instr {
 	s.prevWasLoad = in.Kind == program.KindLoad
 	s.pos++
 	s.Instructions++
-	return in
 }
 
 // BuildProgram generates the benchmark's CFG and applies no layout: the

@@ -25,7 +25,8 @@
 #   serve  — lvserve smoke: three concurrent identical clients against
 #            a live server at two worker counts must get byte-identical
 #            bodies from exactly one simulation each (coalescing), and
-#            SIGTERM must drain to a zero exit
+#            SIGTERM must drain to a zero exit, also when it arrives
+#            the moment the server publishes its address
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -101,5 +102,28 @@ for w in 1 2; do
 		exit 1
 	fi
 done
+
+# A SIGTERM sent the moment the address file appears must still drain
+# to a zero exit: the handler is installed before the listener binds.
+# The wait spins without sleeping so the signal lands as close to the
+# address write as the shell can manage.
+rm -f "$addrfile"
+"$servebin" -addr 127.0.0.1:0 -addr-file "$addrfile" &
+servepid=$!
+i=0
+while [ ! -s "$addrfile" ]; do
+	i=$((i + 1))
+	if [ "$i" -gt 1000000 ]; then
+		echo "lvserve: server never bound" >&2
+		exit 1
+	fi
+done
+kill -TERM "$servepid"
+if ! wait "$servepid"; then
+	echo "lvserve: SIGTERM right after bind did not exit 0" >&2
+	exit 1
+fi
+servepid=""
+echo "early SIGTERM: drained, exit 0"
 
 echo 'verify: all gates passed'
