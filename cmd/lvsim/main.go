@@ -10,6 +10,7 @@
 //	lvsim -mv 400 -shards 4 -checkpoint g.ckpt -resume
 //	lvsim -hierarchy -cores 2 -mv 400          # event-driven multicore, shared L2
 //	lvsim -hierarchy -cores 2 -mvs 400,560     # per-core voltage domains
+//	lvsim -mv 400 -cpuprofile cpu.pprof        # profile the run (go tool pprof)
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -59,10 +61,20 @@ func main() {
 		ncores     = flag.Int("cores", 2, "cores in -hierarchy mode (benchmarks round-robin across them)")
 		l2mv       = flag.Int("l2mv", 0, "uncore (shared L2) voltage in mV, -hierarchy mode (0 = nominal)")
 		mvs        = flag.String("mvs", "", "comma-separated per-core voltages in mV overriding -mv (-hierarchy mode)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of this process to `file`")
 	)
 	flag.Parse()
 	if *resume && *checkpoint == "" {
 		log.Fatal("-resume requires -checkpoint")
+	}
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		// The profile covers runs that finish: the error exits below
+		// (log.Fatal, an interrupted grid) end the process without it.
+		defer stop()
 	}
 
 	setup := sim.DistSetup{Workers: *workers, TimeoutNS: int64(*timeout)}
@@ -177,6 +189,26 @@ func main() {
 		}
 		log.Fatal(err)
 	}
+}
+
+// startCPUProfile starts a CPU profile of the process into path and
+// returns the function that stops it. Stopping flushes the profile and
+// closes the file; a close failure (the profile on disk is then
+// incomplete) ends the process with an error.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		return nil, errors.Join(err, f.Close())
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+	}, nil
 }
 
 // rowLine formats one table row; a cell whose every fault map failed

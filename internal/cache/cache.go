@@ -331,7 +331,7 @@ type Cache struct {
 	cfg   Config
 	geo   Geometry
 	mode  Mode
-	sets  [][]line
+	lines []line   // set-major: frame (set, way) is lines[set*Ways+way]
 	plru  []uint32 // per-set tree bits (ReplacePLRU)
 	fifo  []uint32 // per-set next-victim pointer (ReplaceFIFO)
 	stats Stats
@@ -343,12 +343,7 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sets := make([][]line, cfg.Sets())
-	lines := make([]line, cfg.Blocks())
-	for i := range sets {
-		sets[i], lines = lines[:cfg.Ways], lines[cfg.Ways:]
-	}
-	c := &Cache{cfg: cfg, geo: cfg.Geometry(), sets: sets}
+	c := &Cache{cfg: cfg, geo: cfg.Geometry(), lines: make([]line, cfg.Blocks())}
 	switch cfg.Replacement {
 	case ReplacePLRU:
 		c.plru = make([]uint32, cfg.Sets())
@@ -400,15 +395,13 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Stats before flushing — the simulator does not model flush-writeback
 // traffic because mode switches are rare enough to be ignorable (§IV-B).
 func (c *Cache) Flush() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				c.stats.Invalidates++
-			}
-			// Disabled frames model hardware degradation and stay out of
-			// service across flushes.
-			c.sets[si][wi] = line{disabled: c.sets[si][wi].disabled}
+	for i := range c.lines {
+		if c.lines[i].valid {
+			c.stats.Invalidates++
 		}
+		// Disabled frames model hardware degradation and stay out of
+		// service across flushes.
+		c.lines[i] = line{disabled: c.lines[i].disabled}
 	}
 }
 
@@ -417,10 +410,10 @@ func (c *Cache) Flush() {
 // filled again (capacity degradation from an unrecoverable fault).
 // Out-of-range coordinates and already-disabled frames are no-ops.
 func (c *Cache) DisableFrame(set, way int) {
-	if set < 0 || set >= len(c.sets) || way < 0 || way >= c.cfg.Ways {
+	if set < 0 || set >= c.cfg.Sets() || way < 0 || way >= c.cfg.Ways {
 		return
 	}
-	l := &c.sets[set][way]
+	l := &c.set(set)[way]
 	if l.disabled {
 		return
 	}
@@ -434,37 +427,42 @@ func (c *Cache) DisableFrame(set, way int) {
 // FrameDisabled reports whether the frame at (set, way) is out of
 // service.
 func (c *Cache) FrameDisabled(set, way int) bool {
-	if set < 0 || set >= len(c.sets) || way < 0 || way >= c.cfg.Ways {
+	if set < 0 || set >= c.cfg.Sets() || way < 0 || way >= c.cfg.Ways {
 		return false
 	}
-	return c.sets[set][way].disabled
+	return c.set(set)[way].disabled
 }
 
 // DisabledFrames returns the number of frames currently out of service.
 func (c *Cache) DisabledFrames() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].disabled {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].disabled {
+			n++
 		}
 	}
 	return n
 }
 
+// set returns the frames of set s, a window onto the flat line array.
+func (c *Cache) set(s int) []line {
+	i := s * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways : i+c.cfg.Ways]
+}
+
 // lookup returns the set and hit way (or -1).
 func (c *Cache) lookup(addr uint64) (set int, way int) {
 	set, tag := c.geo.Index(addr), c.geo.Tag(addr)
+	ls := c.set(set)
 	if c.mode == DirectMapped {
 		w := c.geo.DMWay(addr)
-		if l := &c.sets[set][w]; l.valid && l.tag == tag {
+		if l := &ls[w]; l.valid && l.tag == tag {
 			return set, w
 		}
 		return set, -1
 	}
-	for w := range c.sets[set] {
-		if l := &c.sets[set][w]; l.valid && l.tag == tag {
+	for w := range ls {
+		if l := &ls[w]; l.valid && l.tag == tag {
 			return set, w
 		}
 	}
@@ -483,14 +481,15 @@ func (c *Cache) Probe(addr uint64) bool {
 // set out of service): the access is then served from below without a
 // fill.
 func (c *Cache) victim(addr uint64, set int) int {
+	ls := c.set(set)
 	if c.mode == DirectMapped {
-		if w := c.geo.DMWay(addr); !c.sets[set][w].disabled {
+		if w := c.geo.DMWay(addr); !ls[w].disabled {
 			return w
 		}
 		return -1
 	}
-	for w := range c.sets[set] {
-		if l := &c.sets[set][w]; !l.disabled && !l.valid {
+	for w := range ls {
+		if l := &ls[w]; !l.disabled && !l.valid {
 			return w
 		}
 	}
@@ -503,8 +502,8 @@ func (c *Cache) victim(addr uint64, set int) int {
 		c.fifo[set]++
 	default:
 		best, bestLRU := -1, ^uint64(0)
-		for w := range c.sets[set] {
-			if l := &c.sets[set][w]; !l.disabled && l.lru < bestLRU {
+		for w := range ls {
+			if l := &ls[w]; !l.disabled && l.lru < bestLRU {
 				best, bestLRU = w, l.lru
 			}
 		}
@@ -513,7 +512,7 @@ func (c *Cache) victim(addr uint64, set int) int {
 	// PLRU/FIFO state is oblivious to disabled frames; deterministically
 	// redirect to the next in-service way.
 	for i := 0; i < c.cfg.Ways; i++ {
-		if w := (v + i) % c.cfg.Ways; !c.sets[set][w].disabled {
+		if w := (v + i) % c.cfg.Ways; !ls[w].disabled {
 			return w
 		}
 	}
@@ -579,7 +578,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	}
 	set, way := c.lookup(addr)
 	if way >= 0 {
-		l := &c.sets[set][way]
+		l := &c.set(set)[way]
 		l.lru = c.tick
 		if c.plru != nil {
 			c.plruTouch(set, way)
@@ -605,7 +604,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		return Result{}
 	}
 	res := Result{Filled: true}
-	l := &c.sets[set][w]
+	l := &c.set(set)[w]
 	if l.valid {
 		res.Evicted = true
 		c.stats.Evictions++
@@ -631,7 +630,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	if way < 0 {
 		return false
 	}
-	c.sets[set][way] = line{}
+	c.set(set)[way] = line{}
 	c.stats.Invalidates++
 	return true
 }

@@ -121,8 +121,10 @@ type NextLevel struct {
 	drains      uint64 // block-granularity L2 writes after coalescing
 
 	// Coalescing write buffer: FIFO of block addresses with pending
-	// stores. A store to a buffered block merges for free.
-	wb []uint64
+	// stores, oldest first in wb[:wbLen]. A store to a buffered block
+	// merges for free.
+	wb    [WriteBufferEntries]uint64
+	wbLen int
 }
 
 // l2Memory is the default Lower: the paper's private 512 KB write-back
@@ -159,7 +161,6 @@ func NewNextLevel(memLatencyCycles int) *NextLevel {
 		l2:         l2,
 		lower:      &l2Memory{l2: l2, memLatency: memLatencyCycles},
 		memLatency: memLatencyCycles,
-		wb:         make([]uint64, 0, WriteBufferEntries),
 	}
 }
 
@@ -172,10 +173,7 @@ func NewNextLevelOver(lower Lower) *NextLevel {
 		//lvlint:ignore nopanic documented constructor guard: the backend is a static wiring decision, not runtime input
 		panic("core: nil Lower backend")
 	}
-	return &NextLevel{
-		lower: lower,
-		wb:    make([]uint64, 0, WriteBufferEntries),
-	}
+	return &NextLevel{lower: lower}
 }
 
 // L2 exposes the inline L2 simulator of the default backend (read-only
@@ -192,12 +190,9 @@ func (n *NextLevel) MemLatency() int { return n.memLatency }
 // hit.
 func (n *NextLevel) ReadBlock(addr uint64) (latency int, l2Hit bool) {
 	block := cache.BlockAddr(addr)
-	for i, b := range n.wb {
-		if b == block {
-			n.wb = append(n.wb[:i], n.wb[i+1:]...)
-			n.drain(block, true)
-			break
-		}
+	if i := n.buffered(block); i >= 0 {
+		n.unbuffer(i)
+		n.drain(block, true)
 	}
 	n.demandReads++
 	latency, l2Hit = n.lower.ReadBlock(addr)
@@ -222,19 +217,32 @@ func (n *NextLevel) drain(block uint64, forRead bool) {
 func (n *NextLevel) WriteWord(addr uint64) {
 	n.wordWrites++
 	block := cache.BlockAddr(addr)
-	for i, b := range n.wb {
-		if b == block {
-			// Coalesce: refresh the entry's position (LRU-ish FIFO).
-			n.wb = append(append(n.wb[:i], n.wb[i+1:]...), block)
-			return
-		}
-	}
-	if len(n.wb) >= WriteBufferEntries {
+	if i := n.buffered(block); i >= 0 {
+		// Coalesce: refresh the entry's position (LRU-ish FIFO).
+		n.unbuffer(i)
+	} else if n.wbLen == WriteBufferEntries {
 		oldest := n.wb[0]
-		n.wb = n.wb[1:]
+		n.unbuffer(0)
 		n.drain(oldest, false)
 	}
-	n.wb = append(n.wb, block)
+	n.wb[n.wbLen] = block
+	n.wbLen++
+}
+
+// buffered returns block's position in the write buffer, or -1.
+func (n *NextLevel) buffered(block uint64) int {
+	for i, b := range n.wb[:n.wbLen] {
+		if b == block {
+			return i
+		}
+	}
+	return -1
+}
+
+// unbuffer removes entry i, keeping the rest in FIFO order.
+func (n *NextLevel) unbuffer(i int) {
+	copy(n.wb[i:n.wbLen], n.wb[i+1:n.wbLen])
+	n.wbLen--
 }
 
 // DemandReads returns the number of demand read accesses sent below

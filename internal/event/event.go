@@ -13,7 +13,6 @@
 package event
 
 import (
-	"container/heap"
 	"errors"
 	"math"
 )
@@ -57,25 +56,54 @@ type item struct {
 	fn  Handler
 }
 
-// queue is the (time, seq)-ordered min-heap.
+// queue is the (time, seq)-ordered binary min-heap, typed so that
+// pushing and popping never box an item. (time, seq) is a total order,
+// so the pop order is fully determined by the schedule.
 type queue []item
 
-func (q queue) Len() int { return len(q) }
-func (q queue) Less(i, j int) bool {
+func (q queue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q queue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *queue) Push(x any)        { *q = append(*q, x.(item)) }
-func (q *queue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = item{}
-	*q = old[:n-1]
-	return it
+
+func (q *queue) push(it item) {
+	*q = append(*q, it)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (q *queue) pop() item {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h[last] = item{}
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if r := c + 1; r < last && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
@@ -110,7 +138,7 @@ func (e *Engine) Schedule(at Time, fn Handler) {
 		at = e.now
 	}
 	e.seq++
-	heap.Push(&e.q, item{at: at, seq: e.seq, fn: fn})
+	e.q.push(item{at: at, seq: e.seq, fn: fn})
 }
 
 // Step fires the single earliest event. It returns false when the
@@ -119,7 +147,7 @@ func (e *Engine) Step() (bool, error) {
 	if len(e.q) == 0 {
 		return false, nil
 	}
-	it := heap.Pop(&e.q).(item)
+	it := e.q.pop()
 	e.now = it.at
 	e.processed++
 	return true, it.fn(it.at)

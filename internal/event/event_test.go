@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -225,5 +226,72 @@ func TestRecvHookMissingFailsRun(t *testing.T) {
 	}
 	if err := e.Run(); err == nil {
 		t.Error("delivery to a hook-less port should fail the run")
+	}
+}
+
+// TestQueuePopsInTimeThenScheduleOrder checks the typed heap against
+// the contract directly: over random timestamps with many collisions,
+// and handlers that schedule more events, every event fires after all
+// events with a smaller (time, schedule order) pair.
+func TestQueuePopsInTimeThenScheduleOrder(t *testing.T) {
+	type fired struct {
+		at  Time
+		seq int
+	}
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(3))
+	var log []fired
+	seq := 0
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		seq++
+		id := seq
+		e.Schedule(at, func(now Time) error {
+			log = append(log, fired{now, id})
+			if seq < 20_000 {
+				for k := rng.Intn(3); k > 0; k-- {
+					schedule(now + Time(rng.Intn(50)))
+				}
+			}
+			return nil
+		})
+	}
+	for i := 0; i < 500; i++ {
+		schedule(Time(rng.Intn(100)))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != seq {
+		t.Fatalf("fired %d of %d events", len(log), seq)
+	}
+	for i := 1; i < len(log); i++ {
+		a, b := log[i-1], log[i]
+		if a.at > b.at || (a.at == b.at && a.seq > b.seq) {
+			t.Fatalf("event %d fired (%d, #%d) after (%d, #%d)", i, b.at, b.seq, a.at, a.seq)
+		}
+	}
+}
+
+// TestScheduleStepDoNotAllocate: once the queue has grown, scheduling
+// and firing allocate nothing (the handler is built once, outside).
+func TestScheduleStepDoNotAllocate(t *testing.T) {
+	e := NewEngine()
+	nop := func(Time) error { return nil }
+	for i := 0; i < 64; i++ {
+		e.Schedule(Time(i), nop)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 32; i++ {
+			e.Schedule(e.Now()+Time(i%7), nop)
+		}
+		for i := 0; i < 32; i++ {
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Schedule+Step allocate %.0f times per 32 events, want 0", allocs)
 	}
 }

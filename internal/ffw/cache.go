@@ -43,8 +43,8 @@ type Options struct {
 
 type line struct {
 	tag    uint64
-	valid  bool
 	lru    uint64
+	valid  bool
 	stored uint8 // StoredPattern: bit w set = logical word w in the window
 	fault  uint8 // FMAP entry: bit e set = physical word entry e defective
 	// wordAge holds per-word last-use ticks, used only by the scatter
@@ -62,7 +62,7 @@ type Cache struct {
 	fm   *faultmap.Map    // manufacturing fault map (read-only)
 	inj  *inject.Injector // runtime fault layer (nil = static faults only)
 
-	sets    [][]line
+	lines   []line            // set-major: frame (set, way) is lines[set*Ways+way]
 	data    []uint32          // physical data array (only populated when TrackData)
 	written map[uint64]uint32 // write-through image of stored words (TrackData)
 	tick    uint64
@@ -93,18 +93,11 @@ func New(fm *faultmap.Map, next *core.NextLevel, opts Options) (*Cache, error) {
 	if next == nil {
 		return nil, fmt.Errorf("ffw: nil next level")
 	}
-	c := &Cache{cfg: cfg, geo: cfg.Geometry(), next: next, opts: opts, fm: fm, inj: opts.Injector}
-	c.sets = make([][]line, cfg.Sets())
-	lines := make([]line, cfg.Blocks())
-	for s := range c.sets {
-		c.sets[s], lines = lines[:cfg.Ways], lines[cfg.Ways:]
-	}
+	c := &Cache{cfg: cfg, geo: cfg.Geometry(), next: next, opts: opts, fm: fm, inj: opts.Injector,
+		lines: make([]line, cfg.Blocks())}
 	// Load the FMAP array: per-frame fault pattern from the fault map.
-	for s := 0; s < cfg.Sets(); s++ {
-		for w := 0; w < cfg.Ways; w++ {
-			frame := s*cfg.Ways + w
-			c.sets[s][w].fault = fm.BlockMask(frame)
-		}
+	for frame := range c.lines {
+		c.lines[frame].fault = fm.BlockMask(frame)
 	}
 	if opts.TrackData {
 		c.data = make([]uint32, cfg.Words())
@@ -156,16 +149,26 @@ func (c *Cache) FaultStats() inject.Stats {
 
 // StoredPattern returns the stored pattern of frame (set, way), for
 // inspection in tests and reports.
-func (c *Cache) StoredPattern(set, way int) uint8 { return c.sets[set][way].stored }
+func (c *Cache) StoredPattern(set, way int) uint8 { return c.frame(set, way).stored }
 
 // FaultPattern returns the FMAP entry of frame (set, way).
-func (c *Cache) FaultPattern(set, way int) uint8 { return c.sets[set][way].fault }
+func (c *Cache) FaultPattern(set, way int) uint8 { return c.frame(set, way).fault }
+
+// set returns the frames of set s, a window onto the flat line array.
+func (c *Cache) set(s int) []line {
+	i := s * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways : i+c.cfg.Ways]
+}
+
+// frame returns the line of frame (set, way).
+func (c *Cache) frame(set, way int) *line { return &c.set(set)[way] }
 
 // lookup returns the hitting way or -1.
 func (c *Cache) lookup(addr uint64) (set, way int) {
 	set, tag := c.geo.Index(addr), c.geo.Tag(addr)
-	for w := range c.sets[set] {
-		if l := &c.sets[set][w]; l.valid && l.tag == tag {
+	ls := c.set(set)
+	for w := range ls {
+		if l := &ls[w]; l.valid && l.tag == tag {
 			return set, w
 		}
 	}
@@ -178,8 +181,9 @@ func (c *Cache) lookup(addr uint64) (set, way int) {
 // allocation.
 func (c *Cache) victim(set int) int {
 	best, bestLRU := -1, ^uint64(0)
-	for w := range c.sets[set] {
-		l := &c.sets[set][w]
+	ls := c.set(set)
+	for w := range ls {
+		l := &ls[w]
 		if FaultFreeEntries(l.fault) == 0 {
 			continue
 		}
@@ -199,7 +203,7 @@ func (c *Cache) victim(set int) int {
 // scatter extension then swaps a single word instead of repositioning
 // the whole window.
 func (c *Cache) refill(set, way int, addr uint64, sameBlock bool) {
-	l := &c.sets[set][way]
+	l := c.frame(set, way)
 	k := FaultFreeEntries(l.fault)
 	word := cache.WordInBlock(addr)
 	if c.opts.Scatter && sameBlock && l.stored != 0 {
@@ -266,7 +270,7 @@ func (c *Cache) Read(addr uint64) core.AccessOutcome {
 	set, way := c.lookup(addr)
 	word := cache.WordInBlock(addr)
 	if way >= 0 {
-		l := &c.sets[set][way]
+		l := c.frame(set, way)
 		if l.stored&(1<<uint(word)) != 0 {
 			if c.inj != nil {
 				e := Remap(l.stored, l.fault, word)
@@ -298,14 +302,14 @@ func (c *Cache) Read(addr uint64) core.AccessOutcome {
 // effective pattern has no fault-free entries left is disabled and the
 // next victim tried. Bounded by the way count.
 func (c *Cache) allocate(set int, addr uint64) {
-	for range c.sets[set] {
+	for range c.cfg.Ways {
 		v := c.victim(set)
 		if v < 0 {
 			c.stats.Disabled++
 			return
 		}
 		if c.inj != nil {
-			l := &c.sets[set][v]
+			l := c.frame(set, v)
 			if m := c.effectiveFault(set, v); m != l.fault {
 				l.fault = m
 				if FaultFreeEntries(m) == 0 {
@@ -326,7 +330,7 @@ func (c *Cache) allocate(set int, addr uint64) {
 // (as opposed to a one-access transient flip).
 func (c *Cache) recoverHit(set, way int, addr uint64, sticky bool) core.AccessOutcome {
 	c.fstats.Detected++
-	l := &c.sets[set][way]
+	l := c.frame(set, way)
 	if !sticky {
 		// Transient: the retry reads clean data — still a hit, one extra
 		// access of latency.
@@ -368,7 +372,7 @@ func (c *Cache) ReadWord(addr uint64) (core.AccessOutcome, uint32) {
 	word := cache.WordInBlock(addr)
 	var fromArray *uint32
 	if way >= 0 {
-		l := &c.sets[set][way]
+		l := c.frame(set, way)
 		if l.stored&(1<<uint(word)) != 0 {
 			e := Remap(l.stored, l.fault, word)
 			fromArray = &c.data[c.geo.FrameWordIndex(set, way, e)]
@@ -399,7 +403,7 @@ func (c *Cache) Write(addr uint64) core.AccessOutcome {
 	set, way := c.lookup(addr)
 	word := cache.WordInBlock(addr)
 	if way >= 0 {
-		l := &c.sets[set][way]
+		l := c.frame(set, way)
 		if l.stored&(1<<uint(word)) != 0 {
 			l.lru = c.tick
 			l.wordAge[word] = c.tick
@@ -422,7 +426,7 @@ func (c *Cache) WriteWord(addr uint64, v uint32) core.AccessOutcome {
 	set, way := c.lookup(addr)
 	word := cache.WordInBlock(addr)
 	if way >= 0 {
-		l := &c.sets[set][way]
+		l := c.frame(set, way)
 		if l.stored&(1<<uint(word)) != 0 {
 			e := Remap(l.stored, l.fault, word)
 			c.data[c.geo.FrameWordIndex(set, way, e)] = v

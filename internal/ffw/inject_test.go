@@ -127,7 +127,7 @@ func TestRecoveredWindowAvoidsInjectedFaults(t *testing.T) {
 	cfg := c.cfg
 	for set := 0; set < cfg.Sets(); set++ {
 		for way := 0; way < cfg.Ways; way++ {
-			l := &c.sets[set][way]
+			l := c.frame(set, way)
 			if !l.valid || l.stored == 0 {
 				continue
 			}

@@ -18,11 +18,8 @@ import (
 // where frames average 2.2 defective words and the unrepaired excess
 // behaves like simple word disable.
 type BitFix struct {
-	cfg  cache.Config
-	geo  cache.Geometry
+	m    *maskedCache // Sets() x (Ways-1) data frames, masked by their unrepaired words
 	next *core.NextLevel
-	sets [][]mline // Sets() x (Ways-1) data frames
-	tick uint64
 
 	stats WdisStats
 }
@@ -43,20 +40,10 @@ func NewBitFix(fm *faultmap.Map, next *core.NextLevel) (*BitFix, error) {
 	if next == nil {
 		return nil, errNilNext
 	}
-	b := &BitFix{cfg: cfg, geo: cfg.Geometry(), next: next}
-	dataWays := cfg.Ways - 1
-	b.sets = make([][]mline, cfg.Sets())
-	lines := make([]mline, cfg.Sets()*dataWays)
-	for s := range b.sets {
-		b.sets[s], lines = lines[:dataWays], lines[dataWays:]
-	}
-	for s := 0; s < cfg.Sets(); s++ {
-		for w := 0; w < dataWays; w++ {
-			mask := fm.BlockMask(s*cfg.Ways + w)
-			b.sets[s][w].fault = repairMask(mask, BitFixRepairsPerFrame)
-		}
-	}
-	return b, nil
+	m := newMaskedFrames(cfg, cfg.Ways-1, func(s, w int) uint8 {
+		return repairMask(fm.BlockMask(s*cfg.Ways+w), BitFixRepairsPerFrame)
+	})
+	return &BitFix{m: m, next: next}, nil
 }
 
 // repairMask clears the lowest `repairs` set bits of the fault mask —
@@ -92,45 +79,15 @@ func (b *BitFix) Name() string { return "Bit-fix" }
 
 // HitLatency implements core.DataCache/core.InstrCache: +1 cycle for the
 // fix-up multiplexers.
-func (b *BitFix) HitLatency() int { return b.cfg.HitLatency + 1 }
+func (b *BitFix) HitLatency() int { return b.m.cfg.HitLatency + 1 }
 
 // Stats returns the scheme's counters.
 func (b *BitFix) Stats() WdisStats { return b.stats }
 
-func (b *BitFix) lookup(addr uint64, allocate bool) lookupResult {
-	b.tick++
-	set, tag := b.geo.Index(addr), b.geo.Tag(addr)
-	word := cache.WordInBlock(addr)
-	for w := range b.sets[set] {
-		l := &b.sets[set][w]
-		if l.valid && l.tag == tag {
-			l.lru = b.tick
-			return lookupResult{tagHit: true, wordOK: l.fault&(1<<uint(word)) == 0}
-		}
-	}
-	if !allocate {
-		return lookupResult{}
-	}
-	best, bestLRU := 0, ^uint64(0)
-	for w := range b.sets[set] {
-		l := &b.sets[set][w]
-		if !l.valid {
-			best = w
-			break
-		}
-		if l.lru < bestLRU {
-			best, bestLRU = w, l.lru
-		}
-	}
-	l := &b.sets[set][best]
-	*l = mline{tag: tag, valid: true, lru: b.tick, fault: l.fault}
-	return lookupResult{filled: true, wordOK: l.fault&(1<<uint(word)) == 0}
-}
-
 // Read implements core.DataCache.
 func (b *BitFix) Read(addr uint64) core.AccessOutcome {
 	b.stats.Accesses++
-	r := b.lookup(addr, true)
+	r := b.m.access(addr, true)
 	if r.tagHit && r.wordOK {
 		b.stats.Hits++
 		return core.HitOutcome(b.HitLatency())
@@ -147,7 +104,7 @@ func (b *BitFix) Read(addr uint64) core.AccessOutcome {
 // Write implements core.DataCache.
 func (b *BitFix) Write(addr uint64) core.AccessOutcome {
 	b.next.WriteWord(addr)
-	r := b.lookup(addr, false)
+	r := b.m.access(addr, false)
 	if r.tagHit && r.wordOK {
 		return core.HitOutcome(b.HitLatency())
 	}

@@ -1,8 +1,8 @@
 package schemes
 
 import (
-	"container/list"
 	"errors"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -22,9 +22,7 @@ type FBA struct {
 	m    *maskedCache
 	next *core.NextLevel
 
-	lru     *list.List // front = MRU; values are word addresses
-	entries map[uint64]*list.Element
-	cap     int
+	buf wordBuffer
 
 	stats FBAStats
 }
@@ -57,10 +55,7 @@ func NewFBA(fm *faultmap.Map, next *core.NextLevel, entries int) (*FBA, error) {
 	if entries >= 1024 {
 		name = "FBA+"
 	}
-	return &FBA{
-		name: name, m: m, next: next,
-		lru: list.New(), entries: make(map[uint64]*list.Element, entries), cap: entries,
-	}, nil
+	return &FBA{name: name, m: m, next: next, buf: newWordBuffer(entries)}, nil
 }
 
 // Name implements core.DataCache/core.InstrCache.
@@ -74,30 +69,144 @@ func (f *FBA) HitLatency() int { return f.m.cfg.HitLatency + 1 }
 func (f *FBA) Stats() FBAStats { return f.stats }
 
 // Entries returns the current buffer occupancy.
-func (f *FBA) Entries() int { return len(f.entries) }
+func (f *FBA) Entries() int { return f.buf.n }
 
 // bufferHit probes the buffer, refreshing LRU order on a hit.
 func (f *FBA) bufferHit(wordAddr uint64) bool {
-	if e, ok := f.entries[wordAddr]; ok {
-		f.lru.MoveToFront(e)
-		return true
+	_, s := f.buf.find(wordAddr)
+	if s < 0 {
+		return false
 	}
-	return false
+	f.buf.toFront(s)
+	return true
 }
 
 // bufferFill installs a word, evicting the LRU entry at capacity.
 func (f *FBA) bufferFill(wordAddr uint64) {
-	if _, ok := f.entries[wordAddr]; ok {
+	if _, s := f.buf.find(wordAddr); s >= 0 {
 		return
 	}
-	if len(f.entries) >= f.cap {
-		back := f.lru.Back()
-		f.lru.Remove(back)
-		delete(f.entries, back.Value.(uint64))
+	if f.buf.insert(wordAddr) {
 		f.stats.Evictions++
 	}
-	f.entries[wordAddr] = f.lru.PushFront(wordAddr)
 	f.stats.BufferFills++
+}
+
+// wordBuffer is the FBA's fully-associative word store: a fixed array
+// of slots chained in LRU order by index links, found through an
+// open-addressed (linear-probing) hash index of at most half load.
+// Nothing on the access path allocates.
+type wordBuffer struct {
+	slots      []bufSlot
+	n          int     // slots in use; they are slots[:n]
+	head, tail int32   // MRU and LRU slot, -1 when empty
+	index      []int32 // slot+1 of the word hashing here, 0 = empty
+	shift      uint    // 64 - log2(len(index))
+}
+
+type bufSlot struct {
+	word       uint64
+	prev, next int32 // neighbours toward MRU and toward LRU; -1 at the ends
+}
+
+func newWordBuffer(capacity int) wordBuffer {
+	logSize := bits.Len(uint(2*capacity - 1)) // len(index) >= 2*capacity
+	return wordBuffer{
+		slots: make([]bufSlot, capacity),
+		head:  -1, tail: -1,
+		index: make([]int32, 1<<logSize),
+		shift: uint(64 - logSize),
+	}
+}
+
+// home is word's preferred index position (Fibonacci hashing).
+func (b *wordBuffer) home(word uint64) int {
+	return int((word * 0x9E3779B97F4A7C15) >> b.shift)
+}
+
+// find returns word's index position and slot, or the empty position
+// where it would go and slot -1.
+func (b *wordBuffer) find(word uint64) (pos int, slot int32) {
+	mask := len(b.index) - 1
+	for pos = b.home(word); ; pos = (pos + 1) & mask {
+		e := b.index[pos]
+		if e == 0 {
+			return pos, -1
+		}
+		if b.slots[e-1].word == word {
+			return pos, e - 1
+		}
+	}
+}
+
+// insert adds a word that is not present as the MRU entry, first
+// evicting the LRU entry when every slot is in use; it reports whether
+// it evicted.
+func (b *wordBuffer) insert(word uint64) (evicted bool) {
+	var s int32
+	if b.n < len(b.slots) {
+		s = int32(b.n)
+		b.n++
+	} else {
+		s = b.tail
+		pos, _ := b.find(b.slots[s].word)
+		b.unindex(pos)
+		b.unlink(s)
+		evicted = true
+	}
+	pos, _ := b.find(word)
+	b.index[pos] = s + 1
+	b.slots[s].word = word
+	b.pushFront(s)
+	return evicted
+}
+
+// unindex empties index position pos, shifting later entries of its
+// probe run back so every remaining word stays reachable from its home.
+func (b *wordBuffer) unindex(pos int) {
+	mask := len(b.index) - 1
+	for next := (pos + 1) & mask; b.index[next] != 0; next = (next + 1) & mask {
+		// The entry at next may fill the hole at pos only if its home
+		// does not lie cyclically in (pos, next].
+		h := b.home(b.slots[b.index[next]-1].word)
+		if (next-h)&mask >= (next-pos)&mask {
+			b.index[pos] = b.index[next]
+			pos = next
+		}
+	}
+	b.index[pos] = 0
+}
+
+func (b *wordBuffer) unlink(s int32) {
+	sl := &b.slots[s]
+	if sl.prev >= 0 {
+		b.slots[sl.prev].next = sl.next
+	} else {
+		b.head = sl.next
+	}
+	if sl.next >= 0 {
+		b.slots[sl.next].prev = sl.prev
+	} else {
+		b.tail = sl.prev
+	}
+}
+
+func (b *wordBuffer) pushFront(s int32) {
+	b.slots[s].prev, b.slots[s].next = -1, b.head
+	if b.head >= 0 {
+		b.slots[b.head].prev = s
+	} else {
+		b.tail = s
+	}
+	b.head = s
+}
+
+// toFront makes slot s the MRU entry.
+func (b *wordBuffer) toFront(s int32) {
+	if b.head != s {
+		b.unlink(s)
+		b.pushFront(s)
+	}
 }
 
 // Read implements core.DataCache.

@@ -21,10 +21,9 @@ type IDC struct {
 	m    *maskedCache
 	next *core.NextLevel
 
-	assoc int
-	sets  int
-	tags  [][]idcEntry
-	tick  uint64
+	setMask uint64     // auxiliary sets - 1 (a power of two)
+	tags    []idcEntry // set-major: entry (set, i) is tags[set*IDCAssoc+i]
+	tick    uint64
 
 	stats FBAStats // same event shape as the FBA
 }
@@ -59,13 +58,7 @@ func NewIDC(fm *faultmap.Map, next *core.NextLevel, entries int) (*IDC, error) {
 	if entries >= 1024 {
 		name = "IDC+"
 	}
-	idc := &IDC{name: name, m: m, next: next, assoc: IDCAssoc, sets: sets}
-	idc.tags = make([][]idcEntry, sets)
-	backing := make([]idcEntry, entries)
-	for s := range idc.tags {
-		idc.tags[s], backing = backing[:IDCAssoc], backing[IDCAssoc:]
-	}
-	return idc, nil
+	return &IDC{name: name, m: m, next: next, setMask: uint64(sets - 1), tags: make([]idcEntry, entries)}, nil
 }
 
 // Name implements core.DataCache/core.InstrCache.
@@ -77,11 +70,16 @@ func (c *IDC) HitLatency() int { return c.m.cfg.HitLatency + 1 }
 // Stats returns the scheme's counters.
 func (c *IDC) Stats() FBAStats { return c.stats }
 
-func (c *IDC) auxSet(wordAddr uint64) int { return int(wordAddr % uint64(c.sets)) }
+// auxSet returns the auxiliary set a word maps to: its address modulo
+// the set count.
+func (c *IDC) auxSet(wordAddr uint64) []idcEntry {
+	i := int(wordAddr&c.setMask) * IDCAssoc
+	return c.tags[i : i+IDCAssoc : i+IDCAssoc]
+}
 
 func (c *IDC) auxHit(wordAddr uint64) bool {
 	c.tick++
-	set := c.tags[c.auxSet(wordAddr)]
+	set := c.auxSet(wordAddr)
 	for i := range set {
 		if set[i].valid && set[i].wordAddr == wordAddr {
 			set[i].lru = c.tick
@@ -93,7 +91,7 @@ func (c *IDC) auxHit(wordAddr uint64) bool {
 
 func (c *IDC) auxFill(wordAddr uint64) {
 	c.tick++
-	set := c.tags[c.auxSet(wordAddr)]
+	set := c.auxSet(wordAddr)
 	best, bestLRU := 0, ^uint64(0)
 	for i := range set {
 		if !set[i].valid {

@@ -1,8 +1,6 @@
 package schemes
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/faultmap"
@@ -21,20 +19,12 @@ import (
 // the evaluated variant is Wilkerson⁺, which falls back to simple word
 // disable (an L2 trip per access) on residual defective slots.
 type Wilkerson struct {
-	cfg  cache.Config
-	geo  cache.Geometry
+	// m holds Sets() x (Ways/2) logical lines; a line's mask marks the
+	// logical slots whose two physical entries both failed.
+	m    *maskedCache
 	next *core.NextLevel
-	sets [][]wline // Sets() x (Ways/2) logical lines
-	tick uint64
 
 	stats WdisStats
-}
-
-type wline struct {
-	tag   uint64
-	valid bool
-	lru   uint64
-	fault uint8 // logical slot defective: both physical entries failed
 }
 
 // NewWilkersonPlus builds the Wilkerson⁺ cache over the fault map.
@@ -46,21 +36,10 @@ func NewWilkersonPlus(fm *faultmap.Map, next *core.NextLevel) (*Wilkerson, error
 	if next == nil {
 		return nil, errNilNext
 	}
-	w := &Wilkerson{cfg: cfg, geo: cfg.Geometry(), next: next}
-	logical := cfg.Ways / 2
-	w.sets = make([][]wline, cfg.Sets())
-	lines := make([]wline, cfg.Sets()*logical)
-	for s := range w.sets {
-		w.sets[s], lines = lines[:logical], lines[logical:]
-	}
-	for s := 0; s < cfg.Sets(); s++ {
-		for l := 0; l < logical; l++ {
-			a := fm.BlockMask(s*cfg.Ways + 2*l)
-			b := fm.BlockMask(s*cfg.Ways + 2*l + 1)
-			w.sets[s][l].fault = a & b
-		}
-	}
-	return w, nil
+	m := newMaskedFrames(cfg, cfg.Ways/2, func(s, l int) uint8 {
+		return fm.BlockMask(s*cfg.Ways+2*l) & fm.BlockMask(s*cfg.Ways+2*l+1)
+	})
+	return &Wilkerson{m: m, next: next}, nil
 }
 
 // Coverable reports whether plain Wilkerson word-disable (without the
@@ -90,45 +69,15 @@ func (w *Wilkerson) Name() string { return "Wilkerson+" }
 
 // HitLatency implements core.DataCache/core.InstrCache: one extra cycle
 // for the word-combining multiplexers.
-func (w *Wilkerson) HitLatency() int { return w.cfg.HitLatency + 1 }
+func (w *Wilkerson) HitLatency() int { return w.m.cfg.HitLatency + 1 }
 
 // Stats returns the scheme's counters.
 func (w *Wilkerson) Stats() WdisStats { return w.stats }
 
-func (w *Wilkerson) lookup(addr uint64, allocate bool) lookupResult {
-	w.tick++
-	set, tag := w.geo.Index(addr), w.geo.Tag(addr)
-	word := cache.WordInBlock(addr)
-	for l := range w.sets[set] {
-		ln := &w.sets[set][l]
-		if ln.valid && ln.tag == tag {
-			ln.lru = w.tick
-			return lookupResult{tagHit: true, wordOK: ln.fault&(1<<uint(word)) == 0}
-		}
-	}
-	if !allocate {
-		return lookupResult{}
-	}
-	best, bestLRU := 0, ^uint64(0)
-	for l := range w.sets[set] {
-		ln := &w.sets[set][l]
-		if !ln.valid {
-			best = l
-			break
-		}
-		if ln.lru < bestLRU {
-			best, bestLRU = l, ln.lru
-		}
-	}
-	ln := &w.sets[set][best]
-	*ln = wline{tag: tag, valid: true, lru: w.tick, fault: ln.fault}
-	return lookupResult{filled: true, wordOK: ln.fault&(1<<uint(word)) == 0}
-}
-
 // Read implements core.DataCache.
 func (w *Wilkerson) Read(addr uint64) core.AccessOutcome {
 	w.stats.Accesses++
-	r := w.lookup(addr, true)
+	r := w.m.access(addr, true)
 	if r.tagHit && r.wordOK {
 		w.stats.Hits++
 		return core.HitOutcome(w.HitLatency())
@@ -145,7 +94,7 @@ func (w *Wilkerson) Read(addr uint64) core.AccessOutcome {
 // Write implements core.DataCache.
 func (w *Wilkerson) Write(addr uint64) core.AccessOutcome {
 	w.next.WriteWord(addr)
-	r := w.lookup(addr, false)
+	r := w.m.access(addr, false)
 	if r.tagHit && r.wordOK {
 		return core.HitOutcome(w.HitLatency())
 	}
@@ -154,7 +103,3 @@ func (w *Wilkerson) Write(addr uint64) core.AccessOutcome {
 
 // Fetch implements core.InstrCache.
 func (w *Wilkerson) Fetch(addr uint64) core.AccessOutcome { return w.Read(addr) }
-
-func errMapSize(got, want int) error {
-	return fmt.Errorf("schemes: fault map covers %d words, cache has %d", got, want)
-}

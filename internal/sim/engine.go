@@ -97,9 +97,13 @@ func (e *Engine) SetJobTimeout(d time.Duration) {
 // JobTimeout returns the per-run bound (zero when unbounded).
 func (e *Engine) JobTimeout() time.Duration { return e.jobTimeout }
 
-// Run executes one simulation through the engine's memo: a spec already
-// executed on this engine returns its cached result without simulating.
+// Run executes one simulation through the engine's memo, keyed on the
+// fields the run reads (RunSpec.memoKey): a spec whose key already ran
+// on this engine returns the cached result without simulating. The
+// simulation itself runs on the key, so the result never depends on
+// which of the specs sharing a key came first.
 func (e *Engine) Run(ctx context.Context, spec RunSpec) (cpu.Result, error) {
+	spec = spec.memoKey()
 	return e.runs.Do(ctx, spec, func() (cpu.Result, error) {
 		rctx := ctx
 		if e.jobTimeout > 0 {

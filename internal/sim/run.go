@@ -131,6 +131,29 @@ type RunSpec struct {
 	Inject inject.Params
 }
 
+// memoKey returns the spec with every field the run cannot read set to
+// its zero value, so specs that must simulate identically share one
+// memo entry. MapSeed goes for the schemes that never read a fault map
+// and for every scheme when the operating point draws empty maps;
+// Placement and Scatter go for every scheme but FFW+BBR. Inject is
+// kept, so injection on a scheme without recovery still fails.
+func (s RunSpec) memoKey() RunSpec {
+	if mapFree(s.Scheme) || s.Op.PfailBit <= 0 {
+		s.MapSeed = 0
+	}
+	if s.Scheme != FFWBBR {
+		s.Placement, s.Scatter = ffw.PlacementCentered, false
+	}
+	return s
+}
+
+// mapFree reports whether a scheme's caches ignore fault maps: the ideal
+// cache, and the conventional and 8T caches, which are fault-free by
+// construction wherever they operate.
+func mapFree(s Scheme) bool {
+	return s == DefectFree || s == Conventional || s == EightT
+}
+
 // ErrYield is wrapped when a scheme cannot guarantee correct operation on
 // the drawn fault map (a chip-yield event, e.g. BBR finding no chunk for
 // some block).
@@ -169,8 +192,13 @@ func buildRig(spec RunSpec, next *core.NextLevel) (core.InstrCache, core.DataCac
 		return nil, nil, nil, errors.New("sim: zero instructions")
 	}
 
-	fmI := drawMap(spec.Op.PfailBit, spec.MapSeed*2+11)
-	fmD := drawMap(spec.Op.PfailBit, spec.MapSeed*2+12)
+	// The map-free schemes read no fault map, and SECDED draws its own
+	// multi-bit maps from the same seeds.
+	var fmI, fmD *faultmap.Map
+	if !mapFree(spec.Scheme) && spec.Scheme != SECDEDScheme {
+		fmI = drawMap(spec.Op.PfailBit, spec.MapSeed*2+11)
+		fmD = drawMap(spec.Op.PfailBit, spec.MapSeed*2+12)
+	}
 
 	// Program and layout. Only BBR transforms and relinks; every other
 	// scheme runs the conventional dense layout.
@@ -221,7 +249,8 @@ func drawSECDEDMap(pfailBit float64, seed int64) *faultmap.Map {
 	return faultmap.GenerateSECDED(l1Words, pfailBit, rand.New(rand.NewSource(seed)))
 }
 
-// buildCaches constructs the scheme's instruction and data caches.
+// buildCaches constructs the scheme's instruction and data caches. The
+// map-free and SECDED schemes ignore fmI and fmD, which may be nil.
 func buildCaches(spec RunSpec, fmI, fmD *faultmap.Map, next *core.NextLevel) (core.InstrCache, core.DataCache, error) {
 	if spec.Inject.Enabled() && spec.Scheme != FFWBBR {
 		return nil, nil, fmt.Errorf("sim: runtime fault injection requires scheme %q (got %q)", FFWBBR, spec.Scheme)

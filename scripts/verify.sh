@@ -22,6 +22,9 @@
 #            map mutation, FFW stored-pattern round trip, checkpoint
 #            decode/encode, canonical spec hashing); regressions land
 #            in the checked-in corpus
+#   prof   — lvsim -cpuprofile observes without perturbing: the same
+#            small grid with and without the flag prints identical
+#            tables, and the profile file is written
 #   serve  — lvserve smoke: three concurrent identical clients against
 #            a live server at two worker counts must get byte-identical
 #            bodies from exactly one simulation each (coalescing), and
@@ -54,6 +57,20 @@ go test -run '^$' -fuzz '^FuzzMapMutation$' -fuzztime "$FUZZTIME" ./internal/fau
 go test -run '^$' -fuzz '^FuzzWindowRoundTrip$' -fuzztime "$FUZZTIME" ./internal/ffw/
 go test -run '^$' -fuzz '^FuzzCheckpointRoundTrip$' -fuzztime "$FUZZTIME" ./internal/dist/
 go test -run '^$' -fuzz '^FuzzRunSpecCanonicalHash$' -fuzztime "$FUZZTIME" ./internal/sim/
+
+echo '== lvsim -cpuprofile (stdout identical with and without the profile)'
+profdir=$(mktemp -d -t lvsim-prof.XXXXXX)
+trap 'rm -rf "$profdir"' EXIT
+go build -o "$profdir/lvsim" ./cmd/lvsim
+"$profdir/lvsim" -mv 400 -bench crc32,qsort -n 20000 -maps 2 >"$profdir/plain.txt"
+"$profdir/lvsim" -mv 400 -bench crc32,qsort -n 20000 -maps 2 -cpuprofile "$profdir/cpu.pprof" >"$profdir/profiled.txt"
+cmp "$profdir/plain.txt" "$profdir/profiled.txt"
+if [ ! -s "$profdir/cpu.pprof" ]; then
+	echo "lvsim: -cpuprofile wrote no profile" >&2
+	exit 1
+fi
+rm -rf "$profdir"
+echo "cpuprofile: tables identical, profile written"
 
 echo '== lvserve smoke (coalescing, determinism across worker counts, graceful drain)'
 servebin=$(mktemp -t lvserve.XXXXXX)
