@@ -12,6 +12,7 @@
 //	lvchaos -intensity 0 -start 480                    # fault-free creep-down
 //	lvchaos -dies 8 -shards 4 -checkpoint c.ckpt       # sharded, resumable
 //	lvchaos -hierarchy -cores 2 -bench qsort,dijkstra  # multicore, shared L2
+//	lvchaos -hierarchy -cpuprofile cpu.pprof           # profile the run (go tool pprof)
 //
 // Campaigns are deterministic: a fixed flag set produces byte-identical
 // output at any -workers or -shards count. SIGINT flushes the campaigns
@@ -36,6 +37,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/dvfs"
 	"repro/internal/inject"
+	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -68,10 +70,25 @@ func main() {
 		hierarchy  = flag.Bool("hierarchy", false, "event-driven multicore mode: -cores cores share a banked L2")
 		ncores     = flag.Int("cores", 2, "cores in -hierarchy mode (benchmarks round-robin across them)")
 		l2mv       = flag.Int("l2mv", 0, "uncore (shared L2) voltage in mV, -hierarchy mode (0 = nominal)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of this process to `file`")
 	)
 	flag.Parse()
 	if *resume && *checkpoint == "" {
 		log.Fatal("-resume requires -checkpoint")
+	}
+	if *cpuprofile != "" {
+		stopProfile, err := prof.StartCPU(*cpuprofile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		// The profile covers campaigns that finish: the error exits
+		// below (log.Fatal, an interrupted grid) end the process
+		// without it. With -shards it profiles the supervisor only.
+		defer func() {
+			if err := stopProfile(); err != nil {
+				log.Fatalf("-cpuprofile: %v", err)
+			}
+		}()
 	}
 
 	ctxOpts := dist.Options{

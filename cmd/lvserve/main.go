@@ -11,6 +11,7 @@
 //	lvserve -addr 127.0.0.1:0 -addr-file /tmp/lvserve.addr   # ephemeral port
 //	lvserve -workers 2 -max-queue 8 -deadline 30s
 //	lvserve -smoke http://127.0.0.1:8080                     # smoke client
+//	lvserve -cpuprofile cpu.pprof                            # profile until SIGTERM drains
 //
 // The -smoke mode is the verify.sh acceptance client: it fires N
 // concurrent identical sweep requests, asserts every response body is
@@ -36,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/prof"
 	"repro/internal/serve"
 	"repro/internal/workload"
 )
@@ -63,6 +65,7 @@ func main() {
 		smoke      = flag.String("smoke", "", "run as smoke client against this base URL instead of serving")
 		smokeN     = flag.Int("smoke-clients", 3, "concurrent identical clients in -smoke mode")
 		smokeInstr = flag.Uint64("smoke-n", 20_000, "instructions per smoke sweep cell")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the server to `file`, stopped after the drain")
 	)
 	flag.Parse()
 
@@ -85,6 +88,16 @@ func main() {
 			log.Fatal(err)
 		}
 		return
+	}
+
+	// The profile covers serving through the drain; the error exits
+	// below (log.Fatal) end the process without it.
+	stopProfile := func() error { return nil }
+	if *cpuprofile != "" {
+		var err error
+		if stopProfile, err = prof.StartCPU(*cpuprofile); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	s := serve.New(serve.Config{
@@ -142,6 +155,9 @@ func main() {
 	}
 	if err := srv.Shutdown(drainCtx); err != nil {
 		log.Fatalf("shutdown: %v", err)
+	}
+	if err := stopProfile(); err != nil {
+		log.Fatalf("-cpuprofile: %v", err)
 	}
 	log.Print("drained")
 }

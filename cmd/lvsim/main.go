@@ -22,7 +22,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -32,6 +31,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/dvfs"
 	"repro/internal/hier"
+	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -68,13 +68,17 @@ func main() {
 		log.Fatal("-resume requires -checkpoint")
 	}
 	if *cpuprofile != "" {
-		stop, err := startCPUProfile(*cpuprofile)
+		stopProfile, err := prof.StartCPU(*cpuprofile)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// The profile covers runs that finish: the error exits below
 		// (log.Fatal, an interrupted grid) end the process without it.
-		defer stop()
+		defer func() {
+			if err := stopProfile(); err != nil {
+				log.Fatalf("-cpuprofile: %v", err)
+			}
+		}()
 	}
 
 	setup := sim.DistSetup{Workers: *workers, TimeoutNS: int64(*timeout)}
@@ -189,26 +193,6 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-}
-
-// startCPUProfile starts a CPU profile of the process into path and
-// returns the function that stops it. Stopping flushes the profile and
-// closes the file; a close failure (the profile on disk is then
-// incomplete) ends the process with an error.
-func startCPUProfile(path string) (stop func(), err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		return nil, errors.Join(err, f.Close())
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-	}, nil
 }
 
 // rowLine formats one table row; a cell whose every fault map failed

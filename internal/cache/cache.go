@@ -355,6 +355,19 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
+// Reset returns the cache to exactly the state New(c.Config()) builds —
+// every line invalid and in service, set-associative mode, replacement
+// state, tick and statistics zeroed — reusing its arrays, so one tag
+// array can serve many independent simulations without reallocating.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	clear(c.plru)
+	clear(c.fifo)
+	c.mode = SetAssociative
+	c.stats = Stats{}
+	c.tick = 0
+}
+
 // MustNew is New for statically known-good configurations; it panics on
 // error.
 func MustNew(cfg Config) *Cache {

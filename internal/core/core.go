@@ -11,6 +11,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -162,6 +163,25 @@ func NewNextLevel(memLatencyCycles int) *NextLevel {
 		lower:      &l2Memory{l2: l2, memLatency: memLatencyCycles},
 		memLatency: memLatencyCycles,
 	}
+}
+
+// Reset returns a NextLevel built by NewNextLevel to exactly the state
+// NewNextLevel(memLatencyCycles) builds — an empty inline L2, an empty
+// write buffer and zeroed ledgers — reusing the L2's arrays. It fails
+// on a latency below one cycle and on a NextLevel over a custom Lower,
+// whose backend state it cannot see.
+func (n *NextLevel) Reset(memLatencyCycles int) error {
+	if memLatencyCycles < 1 {
+		return fmt.Errorf("core: memory latency %d cycles must be >= 1", memLatencyCycles)
+	}
+	mem, ok := n.lower.(*l2Memory)
+	if !ok || n.l2 == nil {
+		return errors.New("core: Reset needs the inline L2 of NewNextLevel")
+	}
+	n.l2.Reset()
+	mem.memLatency = memLatencyCycles
+	*n = NextLevel{l2: n.l2, lower: mem, memLatency: memLatencyCycles}
+	return nil
 }
 
 // NewNextLevelOver builds a NextLevel whose demand and drain traffic is

@@ -171,7 +171,9 @@ func RunClocked(ctx context.Context, cfg Config, s *workload.Stream, ic core.Ins
 			}
 		}
 		if clk != nil {
-			clk.Advance(r.Cycles())
+			// Cycles() inline: the method would copy the whole Result
+			// on every instruction. Same summation order, same bits.
+			clk.Advance(r.BaseCycles + r.L1Cycles + r.MemCycles + r.RecoveryCycles)
 		}
 		s.NextInto(&in)
 		r.Executed++

@@ -43,8 +43,10 @@ const (
 // a checkpoint is only resumable under the same setup.
 type DistSetup struct {
 	// Workers bounds each worker process's engine pool; 0 selects
-	// GOMAXPROCS. Row and chaos jobs are internally sequential; die
-	// sweeps fan their operating points out on this pool.
+	// GOMAXPROCS. It also bounds the simulations running at once: a row
+	// runs its baseline and maps concurrently on the engine's simulation
+	// slots (one per worker), and die sweeps fan their operating points
+	// out on this pool. Chaos campaigns are internally sequential.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutNS bounds a unit of work, kind-specific: per simulation run
 	// for rows and die sweeps (Engine.SetJobTimeout), per campaign for
@@ -131,34 +133,43 @@ type RowResult struct {
 }
 
 // EvalRow runs one lvsim cell: the conventional 760 mV baseline (shared
-// across this engine's rows via the run memo), then Maps fault maps at
-// the cell's operating point, aggregating the survivors. This is the
+// across this engine's rows via the run memo) and Maps fault maps at the
+// cell's operating point, aggregating the survivors. This is the
 // computation lvsim's table is made of, shared verbatim by its
 // in-process and distributed paths.
+//
+// The baseline and the maps run concurrently on the engine's simulation
+// slots and fold in map order afterwards, so the result is the same at
+// any worker count. The error is the lowest-index one that is not a
+// yield failure, the baseline first; a failing run does not cancel its
+// siblings, whose in-flight runs other rows may be waiting on.
 func (e *Engine) EvalRow(ctx context.Context, spec RowSpec) (RowResult, error) {
 	op, err := dvfs.PointAt(spec.MV)
 	if err != nil {
 		return RowResult{}, err
 	}
-	baseline, err := e.Run(ctx, RunSpec{
+	specs := make([]RunSpec, 1, 1+max(spec.Maps, 0))
+	specs[0] = RunSpec{
 		Scheme: Conventional, Benchmark: spec.Benchmark, Op: dvfs.Nominal(),
 		WorkSeed: spec.Seed, Instructions: spec.Instructions, CPU: spec.CPU,
-	})
-	if err != nil {
-		return RowResult{}, err
 	}
-	model := energy.DefaultModel()
-	var cpis, runtimes, l2ks, epis []float64
-	yieldFails := 0
 	for m := 0; m < spec.Maps; m++ {
-		if err := ctx.Err(); err != nil {
-			return RowResult{}, err
-		}
-		r, err := e.Run(ctx, RunSpec{
+		specs = append(specs, RunSpec{
 			Scheme: spec.Scheme, Benchmark: spec.Benchmark, Op: op,
 			MapSeed: spec.Seed + int64(m), WorkSeed: spec.Seed,
 			Instructions: spec.Instructions, CPU: spec.CPU,
 		})
+	}
+	results, errs := e.runAll(ctx, specs)
+	if errs[0] != nil {
+		return RowResult{}, errs[0]
+	}
+	baseline := results[0]
+	model := energy.DefaultModel()
+	var cpis, runtimes, l2ks, epis []float64
+	yieldFails := 0
+	for i, r := range results[1:] {
+		err := errs[1+i]
 		if errors.Is(err, ErrYield) {
 			yieldFails++
 			continue

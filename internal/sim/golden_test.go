@@ -18,8 +18,22 @@ import (
 // it means a simulated result moved, not that the code got faster.
 const gridGoldenSHA256 = "9f694f95a28bb360b4045db00d98742a9a98a2f05ad8aa0dc20d9eb08e3dc165"
 
+// TestEvalRowGridGolden regenerates the pinned grid at several worker
+// counts: a row fans its runs out over the engine's simulation slots,
+// so the digest must not depend on how many run at once.
 func TestEvalRowGridGolden(t *testing.T) {
-	eng := NewEngine(0)
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			if got := gridDigest(t, NewEngine(w)); got != gridGoldenSHA256 {
+				t.Errorf("grid digest = %s, want %s", got, gridGoldenSHA256)
+			}
+		})
+	}
+}
+
+// gridDigest runs the pinned grid on eng and returns its sha256.
+func gridDigest(t *testing.T, eng *Engine) string {
+	t.Helper()
 	h := sha256.New()
 	for _, mv := range []int{400, 560} {
 		for _, s := range AllSchemes() {
@@ -40,7 +54,5 @@ func TestEvalRowGridGolden(t *testing.T) {
 			}
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != gridGoldenSHA256 {
-		t.Errorf("grid digest = %s, want %s", got, gridGoldenSHA256)
-	}
+	return hex.EncodeToString(h.Sum(nil))
 }

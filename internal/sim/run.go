@@ -169,7 +169,12 @@ func Run(spec RunSpec) (cpu.Result, error) {
 // RunContext is Run with cooperative cancellation (per-job timeouts in
 // campaign drivers); the context is threaded into the instruction loop.
 func RunContext(ctx context.Context, spec RunSpec) (cpu.Result, error) {
-	next := core.NewNextLevel(core.MemLatencyCycles(spec.Op.FreqMHz))
+	return runOn(ctx, spec, core.NewNextLevel(core.MemLatencyCycles(spec.Op.FreqMHz)))
+}
+
+// runOn is RunContext over a caller-provided next level, which must be
+// in the state NewNextLevel builds for the spec's memory latency.
+func runOn(ctx context.Context, spec RunSpec, next *core.NextLevel) (cpu.Result, error) {
 	ic, dc, stream, err := buildRig(spec, next)
 	if err != nil {
 		return cpu.Result{}, err

@@ -22,14 +22,18 @@
 #            map mutation, FFW stored-pattern round trip, checkpoint
 #            decode/encode, canonical spec hashing); regressions land
 #            in the checked-in corpus
-#   prof   — lvsim -cpuprofile observes without perturbing: the same
-#            small grid with and without the flag prints identical
-#            tables, and the profile file is written
+#   prof   — -cpuprofile observes without perturbing: the same small
+#            lvsim grid and the same small lvchaos -hierarchy campaign
+#            print identical reports with and without the flag, and
+#            each profile file is written (the serve smoke below also
+#            profiles one server through its drain)
 #   serve  — lvserve smoke: three concurrent identical clients against
 #            a live server at two worker counts must get byte-identical
 #            bodies from exactly one simulation each (coalescing), and
 #            SIGTERM must drain to a zero exit, also when it arrives
-#            the moment the server publishes its address
+#            the moment the server publishes its address; the
+#            workers=2 server runs with -cpuprofile and must leave a
+#            non-empty profile behind
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,10 +62,11 @@ go test -run '^$' -fuzz '^FuzzWindowRoundTrip$' -fuzztime "$FUZZTIME" ./internal
 go test -run '^$' -fuzz '^FuzzCheckpointRoundTrip$' -fuzztime "$FUZZTIME" ./internal/dist/
 go test -run '^$' -fuzz '^FuzzRunSpecCanonicalHash$' -fuzztime "$FUZZTIME" ./internal/sim/
 
-echo '== lvsim -cpuprofile (stdout identical with and without the profile)'
+echo '== lvsim/lvchaos -cpuprofile (stdout identical with and without the profile)'
 profdir=$(mktemp -d -t lvsim-prof.XXXXXX)
 trap 'rm -rf "$profdir"' EXIT
 go build -o "$profdir/lvsim" ./cmd/lvsim
+go build -o "$profdir/lvchaos" ./cmd/lvchaos
 "$profdir/lvsim" -mv 400 -bench crc32,qsort -n 20000 -maps 2 >"$profdir/plain.txt"
 "$profdir/lvsim" -mv 400 -bench crc32,qsort -n 20000 -maps 2 -cpuprofile "$profdir/cpu.pprof" >"$profdir/profiled.txt"
 cmp "$profdir/plain.txt" "$profdir/profiled.txt"
@@ -69,23 +74,42 @@ if [ ! -s "$profdir/cpu.pprof" ]; then
 	echo "lvsim: -cpuprofile wrote no profile" >&2
 	exit 1
 fi
+chaosargs="-hierarchy -bench qsort,crc32 -dies 2 -epochs 4 -epoch-n 20000"
+# shellcheck disable=SC2086 # chaosargs is a word list
+"$profdir/lvchaos" $chaosargs >"$profdir/chaos-plain.txt"
+# shellcheck disable=SC2086
+"$profdir/lvchaos" $chaosargs -cpuprofile "$profdir/chaos.pprof" >"$profdir/chaos-profiled.txt"
+cmp "$profdir/chaos-plain.txt" "$profdir/chaos-profiled.txt"
+if [ ! -s "$profdir/chaos.pprof" ]; then
+	echo "lvchaos: -cpuprofile wrote no profile" >&2
+	exit 1
+fi
 rm -rf "$profdir"
-echo "cpuprofile: tables identical, profile written"
+echo "cpuprofile: lvsim tables and lvchaos reports identical, profiles written"
 
 echo '== lvserve smoke (coalescing, determinism across worker counts, graceful drain)'
 servebin=$(mktemp -t lvserve.XXXXXX)
 addrfile=$(mktemp -t lvserve-addr.XXXXXX)
+serveprof=$(mktemp -t lvserve-prof.XXXXXX)
 servepid=""
 cleanup_serve() {
 	[ -n "$servepid" ] && kill "$servepid" 2>/dev/null || true
-	rm -f "$servebin" "$addrfile"
+	rm -f "$servebin" "$addrfile" "$serveprof"
 }
 trap cleanup_serve EXIT
 go build -o "$servebin" ./cmd/lvserve
 smoke_sha=""
 for w in 1 2; do
 	rm -f "$addrfile"
-	"$servebin" -addr 127.0.0.1:0 -addr-file "$addrfile" -workers "$w" &
+	# The workers=2 server also profiles itself; the profile is written
+	# after the drain, so it must be non-empty once the server exits.
+	profflag=""
+	if [ "$w" = 2 ]; then
+		rm -f "$serveprof"
+		profflag="-cpuprofile $serveprof"
+	fi
+	# shellcheck disable=SC2086 # profflag is empty or two words
+	"$servebin" -addr 127.0.0.1:0 -addr-file "$addrfile" -workers "$w" $profflag &
 	servepid=$!
 	i=0
 	while [ ! -s "$addrfile" ]; do
@@ -111,6 +135,10 @@ for w in 1 2; do
 	kill -TERM "$servepid"
 	wait "$servepid"
 	servepid=""
+	if [ -n "$profflag" ] && [ ! -s "$serveprof" ]; then
+		echo "lvserve: -cpuprofile wrote no profile after the drain" >&2
+		exit 1
+	fi
 	sha=${line%% *}
 	if [ -z "$smoke_sha" ]; then
 		smoke_sha=$sha
