@@ -537,8 +537,8 @@ func BenchmarkAblationReplacement(b *testing.B) {
 // BenchmarkHierContention drives the event-driven multicore hierarchy:
 // two FFW+BBR cores on distinct voltage domains contending for the
 // shared L2 (per-core fault maps, write-buffer drains, MSHR merges).
-// Reports kernel throughput and the L2's mean contention wait — the
-// shared-L2 contention experiment of BENCH_event.json.
+// Reports the L2's mean contention wait — the shared-L2 contention
+// experiment of BENCH_event.json.
 func BenchmarkHierContention(b *testing.B) {
 	spec := sim.HierSpec{
 		Scheme: sim.FFWBBR, Instructions: 30_000, CPU: cpu.DefaultConfig(),
@@ -547,16 +547,13 @@ func BenchmarkHierContention(b *testing.B) {
 			{Benchmark: "dijkstra", MV: 560, MapSeed: 4, WorkSeed: 2},
 		},
 	}
-	var events uint64
 	var wait float64
 	for i := 0; i < b.N; i++ {
 		res, err := sim.RunHierarchy(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		events += res.Events
 		wait = res.L2.MeanReadWaitCycles(dvfs.Nominal())
 	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 	b.ReportMetric(wait, "L2-wait-cy")
 }

@@ -8,6 +8,7 @@
 //	lvdie -bench basicmath -scheme FFW+BBR -die 42
 //	lvdie -bench qsort -dies 20            # distribution over 20 dies
 //	lvdie -dies 20 -shards 4 -checkpoint d.ckpt   # sharded, resumable
+//	lvdie -cpuprofile cpu.pprof                   # profile the run (go tool pprof)
 package main
 
 import (
@@ -24,6 +25,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/dist"
+	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -46,10 +48,25 @@ func main() {
 		shards     = flag.Int("shards", 0, "worker subprocesses for the die grid (0 = in-process)")
 		checkpoint = flag.String("checkpoint", "", "durable checkpoint file for completed dies")
 		resume     = flag.Bool("resume", false, "resume completed dies from -checkpoint")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of this process to `file`")
 	)
 	flag.Parse()
 	if *resume && *checkpoint == "" {
 		log.Fatal("-resume requires -checkpoint")
+	}
+	if *cpuprofile != "" {
+		stopProfile, err := prof.StartCPU(*cpuprofile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		// The profile covers sweeps that finish: the error exits below
+		// (log.Fatal, an interrupted sweep) end the process without it.
+		// With -shards it profiles the supervisor only.
+		defer func() {
+			if err := stopProfile(); err != nil {
+				log.Fatalf("-cpuprofile: %v", err)
+			}
+		}()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -8,6 +8,7 @@
 //	lvreport -fig 10 -quick       # one figure at reduced Monte Carlo scale
 //	lvreport -table 3
 //	lvreport -yield
+//	lvreport -all -quick -cpuprofile cpu.pprof   # profile the run (go tool pprof)
 //
 // Figures 10–12 share one evaluation grid and are printed together when
 // any of them is requested.
@@ -29,6 +30,7 @@ import (
 	"repro/internal/cacti"
 	"repro/internal/dvfs"
 	"repro/internal/plot"
+	"repro/internal/prof"
 	"repro/internal/sim"
 )
 
@@ -36,18 +38,32 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lvreport: ")
 	var (
-		fig     = flag.Int("fig", 0, "figure to regenerate (2, 3, 6, 9, 10, 11, 12)")
-		table   = flag.Int("table", 0, "table to regenerate (3)")
-		yield   = flag.Bool("yield", false, "per-scheme yield analysis (Fig. 10's Wilkerson note)")
-		all     = flag.Bool("all", false, "regenerate everything")
-		quick   = flag.Bool("quick", false, "reduced Monte Carlo scale (fast)")
-		plots   = flag.Bool("plot", false, "render ASCII charts alongside the tables")
-		csv     = flag.String("csv", "", "also write the Figures 10-12 grid to this CSV file")
-		ext     = flag.Bool("ext", false, "include the SECDED and Bit-fix extension baselines in the evaluation grid")
-		seed    = flag.Int64("seed", 1, "master random seed")
-		workers = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+		fig        = flag.Int("fig", 0, "figure to regenerate (2, 3, 6, 9, 10, 11, 12)")
+		table      = flag.Int("table", 0, "table to regenerate (3)")
+		yield      = flag.Bool("yield", false, "per-scheme yield analysis (Fig. 10's Wilkerson note)")
+		all        = flag.Bool("all", false, "regenerate everything")
+		quick      = flag.Bool("quick", false, "reduced Monte Carlo scale (fast)")
+		plots      = flag.Bool("plot", false, "render ASCII charts alongside the tables")
+		csv        = flag.String("csv", "", "also write the Figures 10-12 grid to this CSV file")
+		ext        = flag.Bool("ext", false, "include the SECDED and Bit-fix extension baselines in the evaluation grid")
+		seed       = flag.Int64("seed", 1, "master random seed")
+		workers    = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of this process to `file`")
 	)
 	flag.Parse()
+	if *cpuprofile != "" {
+		stopProfile, err := prof.StartCPU(*cpuprofile)
+		if err != nil {
+			log.Fatal(err)
+		}
+		// The profile covers reports that finish: the error exits
+		// (log.Fatal, usage) end the process without it.
+		defer func() {
+			if err := stopProfile(); err != nil {
+				log.Fatalf("-cpuprofile: %v", err)
+			}
+		}()
+	}
 
 	cfg := sim.ReportConfig()
 	if *quick {

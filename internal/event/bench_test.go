@@ -27,3 +27,28 @@ func BenchmarkEventKernel(b *testing.B) {
 		b.Fatalf("processed %d events, want %d", e.Processed(), b.N+1)
 	}
 }
+
+// BenchmarkPortRoundTrip measures typed-port delivery: a client sends
+// a request, the server answers on its response port, and each op is
+// one delivery (half a round trip). bench.sh records its ns/op as the
+// per-delivery cost.
+func BenchmarkPortRoundTrip(b *testing.B) {
+	e := NewEngine()
+	creq, cresp, _, _ := echoPair(e, Picosecond)
+	remaining := b.N / 2
+	cresp.OnRecv = func(msg int, at Time) error {
+		if remaining == 0 {
+			return nil
+		}
+		remaining--
+		return creq.Send(msg+1, at)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := creq.Send(0, 0); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -48,12 +48,24 @@ func PeriodOf(freqMHz float64) Time {
 // non-nil error aborts the engine's run loop.
 type Handler func(at Time) error
 
+// firer is what the queue holds: a plain Handler, or a port's delivery
+// record. Both are pointer-shaped, so queuing either boxes nothing.
+type firer interface {
+	fire(at Time) error
+	// dest is the component the event is delivered to (nil for a plain
+	// handler), for NextOwner.
+	dest() Component
+}
+
+func (h Handler) fire(at Time) error { return h(at) }
+func (Handler) dest() Component      { return nil }
+
 // item is one scheduled event. seq breaks same-tick ties: it is
-// assigned by Schedule, so same-tick events fire in schedule order.
+// assigned at schedule time, so same-tick events fire in schedule order.
 type item struct {
 	at  Time
 	seq uint64
-	fn  Handler
+	ev  firer
 }
 
 // queue is the (time, seq)-ordered binary min-heap, typed so that
@@ -133,12 +145,26 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // component whose local clock lags the engine (the core model's
 // pipelined-latency accounting can do this) is simply serviced
 // immediately.
-func (e *Engine) Schedule(at Time, fn Handler) {
+func (e *Engine) Schedule(at Time, fn Handler) { e.schedule(at, fn) }
+
+func (e *Engine) schedule(at Time, ev firer) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.q.push(item{at: at, seq: e.seq, fn: fn})
+	e.q.push(item{at: at, seq: e.seq, ev: ev})
+}
+
+// NextOwner returns the component the earliest pending event is
+// delivered to, or nil when the queue is empty or the head is a plain
+// handler. It is the event Step would fire next, so a component that
+// decides from it to step the engine itself fires exactly what the run
+// loop would have.
+func (e *Engine) NextOwner() Component {
+	if len(e.q) == 0 {
+		return nil
+	}
+	return e.q[0].ev.dest()
 }
 
 // Step fires the single earliest event. It returns false when the
@@ -150,7 +176,7 @@ func (e *Engine) Step() (bool, error) {
 	it := e.q.pop()
 	e.now = it.at
 	e.processed++
-	return true, it.fn(it.at)
+	return true, it.ev.fire(it.at)
 }
 
 // Run fires events in (time, seq) order until the queue drains or a

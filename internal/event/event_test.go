@@ -295,3 +295,124 @@ func TestScheduleStepDoNotAllocate(t *testing.T) {
 		t.Errorf("Schedule+Step allocate %.0f times per 32 events, want 0", allocs)
 	}
 }
+
+// echoPair wires a client and a server port pair on e: the server
+// answers every request on its response port after service time.
+func echoPair(e *Engine, service Time) (creq, cresp, sreq, sresp *Port[int]) {
+	client, server := testComp("client"), testComp("server")
+	creq = NewPort[int](e, client, "req")
+	cresp = NewPort[int](e, client, "resp")
+	sreq = NewPort[int](e, server, "req")
+	sresp = NewPort[int](e, server, "resp")
+	if err := Connect(creq, sreq, Picosecond); err != nil {
+		panic(err)
+	}
+	if err := Connect(sresp, cresp, Picosecond); err != nil {
+		panic(err)
+	}
+	sreq.OnRecv = func(msg int, at Time) error { return sresp.Send(msg, at+service) }
+	return creq, cresp, sreq, sresp
+}
+
+// TestPortSendDoesNotAllocate: once a port has delivered, a send and
+// the step that fires it allocate nothing — the delivery record comes
+// off the sending port's free list and goes back on it when it fires.
+func TestPortSendDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	creq, cresp, _, _ := echoPair(e, Picosecond)
+	var got int
+	cresp.OnRecv = func(msg int, _ Time) error { got = msg; return nil }
+	roundTrip := func(msg int) {
+		if err := creq.Send(msg, e.Now()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	roundTrip(0)
+	msg := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		msg++
+		roundTrip(msg)
+	})
+	if allocs != 0 {
+		t.Errorf("Send+Step allocate %.1f times per round trip, want 0", allocs)
+	}
+	if got != msg {
+		t.Errorf("last delivery carried %d, want %d", got, msg)
+	}
+}
+
+// TestPortDeliveriesKeepTheirPayloads: several sends in flight on one
+// port, some at the same tick, each deliver their own message in
+// (time, seq) order — delivery records are reused, never shared — and
+// the port keeps working after Clear drops sends that never fired.
+func TestPortDeliveriesKeepTheirPayloads(t *testing.T) {
+	type got struct {
+		msg int
+		at  Time
+	}
+	e := NewEngine()
+	a := NewPort[int](e, testComp("a"), "out")
+	b := NewPort[int](e, testComp("b"), "in")
+	if err := Connect(a, b, 2); err != nil {
+		t.Fatal(err)
+	}
+	var log []got
+	b.OnRecv = func(msg int, at Time) error {
+		log = append(log, got{msg, at})
+		// A send from inside a delivery reuses the record just fired.
+		if msg%10 == 0 {
+			return a.Send(msg+1, at)
+		}
+		return nil
+	}
+	check := func(want []got) {
+		t.Helper()
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(log) != len(want) {
+			t.Fatalf("delivered %v, want %v", log, want)
+		}
+		for i := range want {
+			if log[i] != want[i] {
+				t.Fatalf("delivery %d = %v, want %v (all: %v)", i, log[i], want[i], log)
+			}
+		}
+		log = nil
+	}
+	send := func(msg int, at Time) {
+		t.Helper()
+		if err := a.Send(msg, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Same-tick sends fire in send order, interleaved with earlier and
+	// later ones; each nested send lands after its parent.
+	send(5, 10)
+	send(20, 4)
+	send(7, 10)
+	send(8, 4)
+	send(9, 10)
+	check([]got{{20, 6}, {8, 6}, {21, 8}, {5, 12}, {7, 12}, {9, 12}})
+
+	// Records freed by the run above are reused for a second burst.
+	for i := 1; i <= 6; i++ {
+		send(100+i, Time(30-i%2))
+	}
+	check([]got{{101, 31}, {103, 31}, {105, 31}, {102, 32}, {104, 32}, {106, 32}})
+
+	// Clear drops in-flight deliveries; later sends still carry their
+	// own payloads.
+	send(1, 40)
+	send(2, 40)
+	e.Clear()
+	send(3, 50)
+	send(4, 50)
+	send(30, 49)
+	check([]got{{30, 51}, {3, 52}, {4, 52}, {31, 53}})
+}

@@ -20,6 +20,9 @@ type Port[T any] struct {
 	name    string
 	peer    *Port[T]
 	latency Time
+	// free lists the delivery records of this port's sends that have
+	// fired; Send reuses them, so steady-state sends allocate nothing.
+	free *delivery[T]
 
 	// OnRecv handles a delivery on this port. It runs at the delivery
 	// timestamp; a nil hook fails the engine run (wiring bug).
@@ -60,20 +63,45 @@ func Connect[T any](a, b *Port[T], latency Time) error {
 	return nil
 }
 
+// delivery is one in-flight message: the queue entry a Send schedules.
+// It belongs to the sending port and returns to that port's free list
+// when it fires (a record dropped by Engine.Clear is simply collected).
+type delivery[T any] struct {
+	from *Port[T]
+	msg  T
+	next *delivery[T] // free-list link
+}
+
+func (d *delivery[T]) dest() Component { return d.from.peer.owner }
+
+// fire frees the record before running the hook, so a send from inside
+// the hook can reuse it.
+func (d *delivery[T]) fire(at Time) error {
+	from, msg := d.from, d.msg
+	var zero T
+	d.msg, d.next, from.free = zero, from.free, d
+	peer := from.peer
+	if peer.OnRecv == nil {
+		return fmt.Errorf("event: %s has no receive hook", peer.Name())
+	}
+	return peer.OnRecv(msg, at)
+}
+
 // Send schedules msg for delivery to the peer's OnRecv at sendAt plus
 // the connection latency. The error reports an unconnected port; the
 // delivery itself can only fail inside the peer's hook, which surfaces
 // through the engine's run loop.
 func (p *Port[T]) Send(msg T, sendAt Time) error {
-	peer := p.peer
-	if peer == nil {
+	if p.peer == nil {
 		return fmt.Errorf("%w: %s", ErrUnconnected, p.Name())
 	}
-	p.eng.Schedule(sendAt+p.latency, func(at Time) error {
-		if peer.OnRecv == nil {
-			return fmt.Errorf("event: %s has no receive hook", peer.Name())
-		}
-		return peer.OnRecv(msg, at)
-	})
+	d := p.free
+	if d == nil {
+		d = &delivery[T]{from: p}
+	} else {
+		p.free, d.next = d.next, nil
+	}
+	d.msg = msg
+	p.eng.schedule(sendAt+p.latency, d)
 	return nil
 }

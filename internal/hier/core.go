@@ -25,8 +25,10 @@ type coreAbort struct{}
 // The cpu model is synchronous — a scheme's miss path expects the
 // next-level latency as a return value — so the epoch runs inside an
 // iter.Pull coroutine. Core implements core.Lower: ReadBlock sends a
-// port request and yields; the response event resumes the coroutine and
-// ReadBlock returns the observed latency into the unchanged scheme
+// port request and then steps the engine itself while the next event
+// cannot resume another core (in-place service); it yields only when
+// one could, and the response event then resumes the coroutine. Either
+// way ReadBlock returns the observed latency into the unchanged scheme
 // code. That is the whole trick by which every scheme, fault injector
 // and recovery ladder runs behind ports without modification.
 type Core struct {
@@ -60,9 +62,14 @@ type Core struct {
 	reqAt  event.Time
 	repLat int
 	repHit bool
-	result cpu.Result
-	err    error
-	done   bool
+	// inline is set while the blocked core steps the engine itself; the
+	// response then only records the reply instead of resuming.
+	inline bool
+	// switches counts coroutine suspensions (read by tests).
+	switches uint64
+	result   cpu.Result
+	err      error
+	done     bool
 }
 
 // Name implements event.Component.
@@ -88,38 +95,75 @@ func (c *Core) localTime() event.Time {
 	return t
 }
 
-// ReadBlock implements core.Lower: send the demand read, suspend until
-// the response event, and return the latency the core observed, in
-// whole core cycles — exactly what the synchronous scheme code expects.
+// ReadBlock implements core.Lower: send the demand read, wait for the
+// response, and return the latency the core observed, in whole core
+// cycles — exactly what the synchronous scheme code expects.
+//
+// The wait is in-place service: while the queue head is an event that
+// cannot resume another core, the core fires it itself, popping exactly
+// the event the run loop would pop next, so the (time, seq) order, the
+// event count and the clock are the same as if it had yielded. It
+// suspends only when the head belongs to another core, is a plain
+// handler, or the queue is empty.
 func (c *Core) ReadBlock(addr uint64) (int, bool) {
 	at := c.localTime()
 	c.reqAt = at
 	if err := c.req.Send(MemReq{Core: c.id, Addr: addr + c.offset}, at); err != nil {
-		c.err = err
-		//lvlint:ignore nopanic coroutine unwind: recovered by the epoch wrapper, never escapes
-		panic(coreAbort{})
+		c.unwind(err)
 	}
-	c.suspend()
+	c.inline = true
+	for c.inline {
+		if !c.servesInline(c.eng.NextOwner()) {
+			c.inline = false
+			c.suspend()
+			break
+		}
+		if _, err := c.eng.Step(); err != nil {
+			c.unwind(err)
+		}
+	}
 	return c.repLat, c.repHit
+}
+
+// servesInline reports whether a blocked core may fire an event bound
+// for o itself: deliveries to the L2, the DRAM or this core's own
+// response port never resume another core's coroutine.
+func (c *Core) servesInline(o event.Component) bool {
+	switch o := o.(type) {
+	case *SharedL2, *DRAM:
+		return true
+	case *Core:
+		return o == c
+	}
+	return false
 }
 
 // WriteBlock implements core.Lower: posted, fire-and-forget.
 func (c *Core) WriteBlock(block uint64, forRead bool) {
 	m := MemReq{Core: c.id, Addr: block*cache.BlockBytes + c.offset, Write: true, Forwarded: forRead}
 	if err := c.req.Send(m, c.localTime()); err != nil {
-		c.err = err
-		//lvlint:ignore nopanic coroutine unwind: recovered by the epoch wrapper, never escapes
-		panic(coreAbort{})
+		c.unwind(err)
 	}
 }
 
 // suspend parks the coroutine until the next advanceAt. A false yield
 // means the hierarchy stopped the epoch: unwind the scheme call stack.
 func (c *Core) suspend() {
+	c.switches++
 	if !c.yield(struct{}{}) {
-		//lvlint:ignore nopanic coroutine unwind: recovered by the epoch wrapper, never escapes
-		panic(coreAbort{})
+		c.unwind(nil)
 	}
+}
+
+// unwind abandons the epoch from inside the coroutine: it records err
+// (nil when the hierarchy itself stopped the epoch) for advanceAt to
+// return, and unwinds the scheme call stack to the epoch wrapper.
+func (c *Core) unwind(err error) {
+	if err != nil {
+		c.err = err
+	}
+	//lvlint:ignore nopanic coroutine unwind: recovered by the epoch wrapper, never escapes
+	panic(coreAbort{})
 }
 
 // startEpoch spins up the epoch coroutine and schedules the kick event.
@@ -151,9 +195,7 @@ func (c *Core) startEpoch(ctx context.Context, n uint64) {
 // advanceAt resumes the coroutine at engine time at. It runs until the
 // next L2-bound read (request already sent) or epoch completion.
 func (c *Core) advanceAt(at event.Time) error {
-	if at > c.floor {
-		c.floor = at
-	}
+	c.floor = max(c.floor, at)
 	if _, ok := c.resume(); !ok {
 		c.done = true
 		c.stop()
@@ -164,9 +206,16 @@ func (c *Core) advanceAt(at event.Time) error {
 
 // recvResp handles the L2's answer to the outstanding demand read: the
 // latency is the core-cycle round trip the blocked core just waited
-// out, counted the way the trace model counts it (beyond the L1).
+// out, counted the way the trace model counts it (beyond the L1). A
+// core servicing the engine in place is already running: the reply
+// ends its wait. Otherwise the reply resumes its coroutine.
 func (c *Core) recvResp(m MemResp, at event.Time) error {
 	c.repHit = m.L2Hit
 	c.repLat = int(math.Ceil(float64(at-c.reqAt) / float64(c.period)))
+	if c.inline {
+		c.inline = false
+		c.floor = max(c.floor, at)
+		return nil
+	}
 	return c.advanceAt(at)
 }

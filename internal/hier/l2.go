@@ -212,7 +212,17 @@ func (s *SharedL2) recvReq(m MemReq, at event.Time) error {
 		}
 	}
 	s.stats.DramReads++
-	s.fills = append(s.fills, fill{block: block, ready: issue + s.dramLat, waiters: []int{m.Core}})
+	// Take the next MSHR entry, reusing the waiter list a retired fill
+	// parked past the end of the slice.
+	n := len(s.fills)
+	if n < cap(s.fills) {
+		s.fills = s.fills[:n+1]
+	} else {
+		s.fills = append(s.fills, fill{})
+	}
+	f := &s.fills[n]
+	f.block, f.ready = block, issue+s.dramLat
+	f.waiters = append(f.waiters[:0], m.Core)
 	return s.dreq.Send(DramReq{Block: block}, issue)
 }
 
@@ -246,8 +256,14 @@ func (s *SharedL2) recvFill(m DramResp, at event.Time) error {
 		if s.fills[i].block != m.Block {
 			continue
 		}
+		// Retire entry i, keeping the others in order, and park it just
+		// past the end so its waiter list is reused by the next miss
+		// (not aliased by a live entry's, as a plain shift would leave).
 		f := s.fills[i]
-		s.fills = append(s.fills[:i], s.fills[i+1:]...)
+		last := len(s.fills) - 1
+		copy(s.fills[i:], s.fills[i+1:])
+		s.fills[last] = f
+		s.fills = s.fills[:last]
 		for _, w := range f.waiters {
 			if err := s.toCore[w].Send(MemResp{Core: w, L2Hit: false}, at); err != nil {
 				return err

@@ -7,10 +7,13 @@
 // The determinism argument, in one paragraph: cores are blocking and
 // in-order, their L1s are private, and the only shared state is the L2.
 // Every cross-component interaction is a timestamped message through
-// the engine's (time, sequence) ordered queue — a core *suspends* (its
-// coroutine yields inside the scheme's miss path) at every L2-bound
-// read and resumes only when the response event fires, and posted
-// writes are delivered as ordinary events. A hierarchy run is therefore
+// the engine's (time, sequence) ordered queue — a core blocks inside
+// the scheme's miss path at every L2-bound read until the response
+// event fires, and posted writes are delivered as ordinary events.
+// While blocked, a core fires the L2, DRAM and own-reply events itself,
+// exactly the ones the run loop would pop next, and yields its
+// coroutine only before an event that could resume another core. A
+// hierarchy run is therefore
 // single-threaded, replays identically every time, and engines are
 // per-run isolated, so grids of hierarchy runs parallelize across
 // engine.Map workers with byte-identical results at any worker count —

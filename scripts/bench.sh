@@ -157,26 +157,28 @@ go test -run '^$' -bench 'BenchmarkShardOverhead|BenchmarkResumeLatency' -bencht
 echo "bench: wrote $out"
 
 # Fifth pass: the event-driven hierarchy. BenchmarkEventKernel is the
-# raw kernel schedule/dispatch cost per event (pinned at 10000 events so
+# raw kernel schedule/dispatch cost per event and BenchmarkPortRoundTrip
+# the cost of one typed-port delivery (both pinned at a fixed count so
 # the per-event number is stable even under the default 1x benchtime);
 # BenchmarkHierContention is the shared-L2 contention experiment — two
-# FFW+BBR cores on distinct voltage domains — reporting whole-run ns/op,
-# kernel throughput (events/s) and the L2's mean contention wait.
+# FFW+BBR cores on distinct voltage domains — reporting whole-run ns/op
+# and the L2's mean contention wait. (Its events per wall second are not
+# recorded: that wall time is almost all core-model work, not kernel.)
 out=BENCH_event.json
 {
-	go test -run '^$' -bench 'BenchmarkEventKernel' -benchtime 10000x ./internal/event/
+	go test -run '^$' -bench 'BenchmarkEventKernel|BenchmarkPortRoundTrip' -benchtime 10000x ./internal/event/
 	go test -run '^$' -bench 'BenchmarkHierContention' -benchtime "${BENCHTIME:-1x}" .
 } | tee /dev/stderr | awk -v procs="$gomaxprocs" -v cpus="$cpus" '
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
 		ns[name] = $3
 		for (i = 4; i <= NF; i++) {
-			if ($i == "events/s") eps[name] = $(i - 1)
 			if ($i == "L2-wait-cy") wait[name] = $(i - 1)
 		}
 	}
 	END {
 		kern = "BenchmarkEventKernel"
+		port = "BenchmarkPortRoundTrip"
 		cont = "BenchmarkHierContention"
 		printf "{\n"
 		printf "  \"gomaxprocs\": %s,\n", procs
@@ -185,8 +187,8 @@ out=BENCH_event.json
 			printf "  \"kernel_ns_per_event\": %s,\n", ns[kern]
 			printf "  \"kernel_events_per_sec\": %.0f,\n", 1e9 / ns[kern]
 		}
-		if (cont in eps)
-			printf "  \"contention_events_per_sec\": %.0f,\n", eps[cont]
+		if (port in ns)
+			printf "  \"port_ns_per_delivery\": %s,\n", ns[port]
 		if (cont in wait)
 			printf "  \"contention_l2_wait_cycles\": %s,\n", wait[cont]
 		printf "  \"contention_ns_per_op\": %s\n", (cont in ns) ? ns[cont] : 0

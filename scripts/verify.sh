@@ -23,10 +23,11 @@
 #            decode/encode, canonical spec hashing); regressions land
 #            in the checked-in corpus
 #   prof   — -cpuprofile observes without perturbing: the same small
-#            lvsim grid and the same small lvchaos -hierarchy campaign
-#            print identical reports with and without the flag, and
-#            each profile file is written (the serve smoke below also
-#            profiles one server through its drain)
+#            lvsim grid, lvchaos -hierarchy campaign, quick lvreport
+#            figures and lvdie sweep print identical output with and
+#            without the flag, and each profile file is written (the
+#            serve smoke below also profiles one server through its
+#            drain)
 #   serve  — lvserve smoke: three concurrent identical clients against
 #            a live server at two worker counts must get byte-identical
 #            bodies from exactly one simulation each (coalescing), and
@@ -62,30 +63,31 @@ go test -run '^$' -fuzz '^FuzzWindowRoundTrip$' -fuzztime "$FUZZTIME" ./internal
 go test -run '^$' -fuzz '^FuzzCheckpointRoundTrip$' -fuzztime "$FUZZTIME" ./internal/dist/
 go test -run '^$' -fuzz '^FuzzRunSpecCanonicalHash$' -fuzztime "$FUZZTIME" ./internal/sim/
 
-echo '== lvsim/lvchaos -cpuprofile (stdout identical with and without the profile)'
+echo '== lvsim/lvchaos/lvreport/lvdie -cpuprofile (stdout identical with and without the profile)'
 profdir=$(mktemp -d -t lvsim-prof.XXXXXX)
 trap 'rm -rf "$profdir"' EXIT
-go build -o "$profdir/lvsim" ./cmd/lvsim
-go build -o "$profdir/lvchaos" ./cmd/lvchaos
-"$profdir/lvsim" -mv 400 -bench crc32,qsort -n 20000 -maps 2 >"$profdir/plain.txt"
-"$profdir/lvsim" -mv 400 -bench crc32,qsort -n 20000 -maps 2 -cpuprofile "$profdir/cpu.pprof" >"$profdir/profiled.txt"
-cmp "$profdir/plain.txt" "$profdir/profiled.txt"
-if [ ! -s "$profdir/cpu.pprof" ]; then
-	echo "lvsim: -cpuprofile wrote no profile" >&2
-	exit 1
-fi
-chaosargs="-hierarchy -bench qsort,crc32 -dies 2 -epochs 4 -epoch-n 20000"
-# shellcheck disable=SC2086 # chaosargs is a word list
-"$profdir/lvchaos" $chaosargs >"$profdir/chaos-plain.txt"
-# shellcheck disable=SC2086
-"$profdir/lvchaos" $chaosargs -cpuprofile "$profdir/chaos.pprof" >"$profdir/chaos-profiled.txt"
-cmp "$profdir/chaos-plain.txt" "$profdir/chaos-profiled.txt"
-if [ ! -s "$profdir/chaos.pprof" ]; then
-	echo "lvchaos: -cpuprofile wrote no profile" >&2
-	exit 1
-fi
+# profcheck NAME ARGS...: run the built command NAME twice, plain and
+# with -cpuprofile; stdout must match and the profile must be written.
+profcheck() {
+	name=$1
+	shift
+	"$profdir/$name" "$@" >"$profdir/$name-plain.txt"
+	"$profdir/$name" "$@" -cpuprofile "$profdir/$name.pprof" >"$profdir/$name-profiled.txt"
+	cmp "$profdir/$name-plain.txt" "$profdir/$name-profiled.txt"
+	if [ ! -s "$profdir/$name.pprof" ]; then
+		echo "$name: -cpuprofile wrote no profile" >&2
+		exit 1
+	fi
+}
+for cmd in lvsim lvchaos lvreport lvdie; do
+	go build -o "$profdir/$cmd" "./cmd/$cmd"
+done
+profcheck lvsim -mv 400 -bench crc32,qsort -n 20000 -maps 2
+profcheck lvchaos -hierarchy -bench qsort,crc32 -dies 2 -epochs 4 -epoch-n 20000
+profcheck lvreport -fig 3 -yield -quick
+profcheck lvdie -bench crc32 -dies 2 -n 20000
 rm -rf "$profdir"
-echo "cpuprofile: lvsim tables and lvchaos reports identical, profiles written"
+echo "cpuprofile: lvsim, lvchaos, lvreport and lvdie output identical, profiles written"
 
 echo '== lvserve smoke (coalescing, determinism across worker counts, graceful drain)'
 servebin=$(mktemp -t lvserve.XXXXXX)
